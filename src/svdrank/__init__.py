@@ -22,7 +22,6 @@ from .algorithms import (
 from .baselines import (
     CompletionConfig,
     CompletionResult,
-    IncidenceSystem,
     coherence,
     complete_matrix,
     least_squares_rank,

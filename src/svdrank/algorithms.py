@@ -131,9 +131,7 @@ def reconcile_sign(s: np.ndarray, H: SkewSparseMatrix) -> int:
     return -1 if up_neg < up_pos else 1
 
 
-def abs_degrees(H: SkewSparseMatrix) -> np.ndarray:
-    """Absolute-degree diagonal: sum_j |H_ij| per node."""
-    return H.abs_row_sums()
+abs_degrees = SkewSparseMatrix.abs_row_sums  # abs_degrees(H) == H.abs_row_sums()
 
 
 def _scale_and_package(H: SkewSparseMatrix, s: np.ndarray, u_tilde: np.ndarray,
@@ -183,7 +181,7 @@ def svd_nrs(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     D^{1/2} u_tilde, and scale recovery uses that same statistic. Requires
     every node to have at least one measurement.
     """
-    d = abs_degrees(H)
+    d = H.abs_row_sums()
     if np.any(d <= 0.0):
         raise IsolatedNode("some node has no incident measurement")
     if not H.is_connected:

@@ -1,8 +1,9 @@
 """Row-sum and least-squares ranking baselines, plus completion preprocessing.
 
 The least-squares ranking solves ``min ||Bx - w||^2`` where B is the
-edge-vertex incidence matrix (+1 at the first endpoint, -1 at the second)
-and w the measured offsets. The normal-equation matrix B^T B is the graph
+edge-vertex incidence matrix of the measurement edge list (+1 at the row
+endpoint, -1 at the column endpoint of each stored pair) and w the measured
+offsets. The normal-equation matrix B^T B is the graph
 Laplacian, singular exactly on the all-ones direction; conjugate gradient
 started at zero stays orthogonal to it and converges to the centered
 minimum-norm solution.
@@ -34,47 +35,13 @@ from .algorithms import (
 )
 from .errors import (
     DegenerateScores,
-    DimensionMismatch,
     EmptyRatios,
     GraphDisconnected,
     InvalidParam,
     NotConverged,
 )
-from .linalg import SkewSparseMatrix, component_count
-from .model import MeasurementSet, ScoreVector
-
-
-@dataclass(frozen=True)
-class IncidenceSystem:
-    """Rows (i, j, w) of the incidence system Bx = w, one per observed pair."""
-
-    rows_i: np.ndarray
-    rows_j: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        i = np.asarray(self.rows_i, dtype=np.int64)
-        j = np.asarray(self.rows_j, dtype=np.int64)
-        w = np.asarray(self.w, dtype=np.float64)
-        if not (i.shape == j.shape == w.shape) or i.ndim != 1:
-            raise DimensionMismatch("incidence arrays must be 1-d and equal length")
-        if np.any(i == j):
-            raise InvalidParam("incidence row with identical endpoints")
-        for name, arr in (("rows_i", i), ("rows_j", j), ("w", w)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def m(self) -> int:
-        return int(self.rows_i.size)
-
-    @staticmethod
-    def from_matrix(H: SkewSparseMatrix) -> "IncidenceSystem":
-        return IncidenceSystem(H.rows.copy(), H.cols.copy(), H.values.copy())
-
-    @staticmethod
-    def from_measurements(m: MeasurementSet) -> "IncidenceSystem":
-        return IncidenceSystem(m.rows.copy(), m.cols.copy(), m.values.copy())
+from .linalg import SkewSparseMatrix
+from .model import ScoreVector
 
 
 def _tau_or_nan(H: SkewSparseMatrix, scores: np.ndarray) -> float:
@@ -97,25 +64,23 @@ def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
                          raw_scores=sums)
 
 
-def least_squares_rank(sys: IncidenceSystem, n: int, tol: float = 1e-10,
+def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
                        max_iter: int = 1000) -> RankingResult:
     """Centered minimum-norm least-squares scores by conjugate gradient.
 
-    Solves the normal equations B^T B x = B^T w without forming B^T B; each
-    iteration applies the graph Laplacian through the edge list. Stops at
-    relative residual ``tol``; raises GraphDisconnected for a disconnected
-    graph and NotConverged (carrying the partial result) past ``max_iter``.
+    Solves the normal equations B^T B x = B^T w for the incidence system of
+    H's edge list without forming B^T B; each iteration applies the graph
+    Laplacian through the edge list. Stops at relative residual ``tol``;
+    raises GraphDisconnected for a disconnected graph and NotConverged
+    (carrying the partial result) past ``max_iter``.
     """
+    n = H.n
     if n < 2:
         raise InvalidParam("need n >= 2")
-    if sys.rows_i.size and max(sys.rows_i.max(), sys.rows_j.max()) >= n:
-        raise InvalidParam("incidence index out of range")
-    lo = np.minimum(sys.rows_i, sys.rows_j)
-    hi = np.maximum(sys.rows_i, sys.rows_j)
-    if component_count(n, lo, hi) != 1:
+    if not H.is_connected:
         raise GraphDisconnected("incidence graph is not connected")
 
-    i, j, w = sys.rows_i, sys.rows_j, sys.w
+    i, j, w = H.rows, H.cols, H.values
 
     def laplacian(x: np.ndarray) -> np.ndarray:
         flow = x[i] - x[j]
@@ -150,15 +115,9 @@ def least_squares_rank(sys: IncidenceSystem, n: int, tol: float = 1e-10,
                                result=scores,
                                residual=float(np.sqrt(rs) / b_norm),
                                iterations=max_iter)
-    folded = np.where(sys.rows_i < sys.rows_j, w, -w)
-    try:
-        H = SkewSparseMatrix(n, lo, hi, folded)
-        tau = _tau_or_nan(H, scores)
-    except InvalidParam:  # repeated pair rows: skip the scale diagnostic
-        tau = math.nan
     return RankingResult(permutation=ranking_from_scores(scores),
                          score_estimate=scores, beta=1,
-                         tau=tau, method="least_squares",
+                         tau=_tau_or_nan(H, scores), method="least_squares",
                          raw_scores=scores)
 
 
@@ -171,8 +130,7 @@ class CompletionConfig:
     geometrically by ``decay`` per iteration down to ``floor`` (default
     1e-9 of the start), so late iterations approach exact data consistency;
     keep a higher floor for heavily contaminated inputs, where exact
-    interpolation would chase outliers. ``target_rank_hint`` is diagnostic
-    only: it does not constrain the solve.
+    interpolation would chase outliers.
     """
 
     step: float = 1.0
@@ -181,7 +139,6 @@ class CompletionConfig:
     floor: float | None = None
     max_iter: int = 500
     tol: float = 1e-6
-    target_rank_hint: int = 2
     n_limit: int = 2000
 
     def __post_init__(self):
@@ -193,8 +150,8 @@ class CompletionConfig:
             raise InvalidParam("decay must lie in (0, 1]")
         if self.floor is not None and self.floor <= 0:
             raise InvalidParam("floor must be positive")
-        if self.target_rank_hint < 1 or self.n_limit < 2:
-            raise InvalidParam("target_rank_hint and n_limit must be positive")
+        if self.n_limit < 2:
+            raise InvalidParam("n_limit must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -209,7 +166,7 @@ class CompletionResult:
         return SkewSparseMatrix.from_dense(self.matrix)
 
 
-def complete_matrix(m: MeasurementSet, cfg: CompletionConfig = CompletionConfig()) -> CompletionResult:
+def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfig()) -> CompletionResult:
     """Fill the unobserved offsets by soft-thresholded proximal iteration.
 
     Dense solver; refuses n beyond ``cfg.n_limit``. Returns the

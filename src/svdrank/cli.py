@@ -22,7 +22,16 @@ import numpy as np
 
 from .baselines import CompletionConfig, coherence, complete_matrix
 from .errors import ConfigError, InvalidParam, ParseError, SelfLoop, SvdRankError
-from .harness import ALGORITHMS, ingest_edge_list, load_config, run_sweep, write_csv
+from .harness import (
+    ALGORITHMS,
+    complete_and_rank,
+    ingest_edge_list,
+    load_config,
+    prune_and_restrict,
+    run_sweep,
+    write_csv,
+)
+from .metrics import count_upsets, weighted_upsets
 from .model import generate_scores
 from .selftest import run_selftest
 from .theory import BoundParams, ModelStats, evaluate_all_bounds
@@ -87,18 +96,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    from .harness import _run_algorithm, prune_and_restrict
-    from .metrics import count_upsets, weighted_upsets
-    from .model import build_H
-
     mset = ingest_edge_list(args.input, one_indexed=args.one_indexed, n=args.n)
     pruned, mapping = prune_and_restrict(mset, min_degree=args.min_degree)
-    H = build_H(pruned)
-    H_run, scale_from = H, None
-    if args.completion:
-        comp = complete_matrix(pruned, CompletionConfig())
-        H_run, scale_from = comp.to_sparse(), H
-    result = _run_algorithm(args.algorithm, H_run, args.seed, scale_from)
+    run = complete_and_rank(pruned, (args.algorithm,),
+                            CompletionConfig() if args.completion else None, args.seed)
+    [(_, result, _)] = run.results
+    for outcome in (run.completion, result):  # a completion error is reported first
+        if isinstance(outcome, SvdRankError):
+            raise outcome
+    H = run.H
     offset = 1 if args.one_indexed else 0
     lines = [f"# method={result.method} n={pruned.n} tau={_opt(result.tau)} "
              f"beta={result.beta} upsets={count_upsets(H, result.score_estimate)} "

@@ -27,7 +27,7 @@ import numpy as np
 from .algorithms import RankingResult, ranking_from_scores, svd_nrs, svd_rs
 from .baselines import (
     CompletionConfig,
-    IncidenceSystem,
+    CompletionResult,
     complete_matrix,
     least_squares_rank,
     rowsum_rank,
@@ -160,8 +160,67 @@ def _run_algorithm(name: str, H: SkewSparseMatrix, seed: int,
     if name == "rowsum":
         return rowsum_rank(H)
     if name == "least_squares":
-        return least_squares_rank(IncidenceSystem.from_matrix(H), H.n)
+        return least_squares_rank(H)
     raise ConfigError(f"unknown algorithm {name!r}")
+
+
+@dataclass(frozen=True)
+class RankRun:
+    """What :func:`complete_and_rank` produced for one measurement set.
+
+    ``H`` is the observed measurement matrix; upsets are measured against it
+    even when the algorithms ran on the completed matrix. ``completion`` is
+    None when completion was not asked for, else its result or the error it
+    raised (the algorithms then ran on ``H``). ``results`` holds, per
+    algorithm in the order asked for, its name, its ranking or the error it
+    raised, and its run time in milliseconds.
+    """
+
+    H: SkewSparseMatrix
+    completion: CompletionResult | SvdRankError | None
+    results: list[tuple[str, RankingResult | SvdRankError, float]]
+
+
+def complete_and_rank(m: MeasurementSet, algorithms: tuple[str, ...],
+                      completion: CompletionConfig | None, seed: int) -> RankRun:
+    """Run each algorithm on a measurement set, after completing it if asked.
+
+    With a completion config, the algorithms run on the completed matrix and
+    take sign and scale from the observed pairs only. Errors from completion
+    and from each algorithm are returned, not raised, so one failure never
+    hides the other results.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GraphDisconnectedWarning)
+        H = build_H(m)
+    H_run, scale_from, outcome = H, None, None
+    if completion is not None:
+        try:
+            outcome = complete_matrix(H, completion)
+            H_run, scale_from = outcome.to_sparse(), H
+        except SvdRankError as exc:
+            outcome = exc
+    results = []
+    for name in algorithms:
+        start = time.perf_counter()
+        try:
+            result = _run_algorithm(name, H_run, seed, scale_from)
+        except SvdRankError as exc:
+            result = exc
+        results.append((name, result, (time.perf_counter() - start) * 1e3))
+    return RankRun(H, outcome, results)
+
+
+def _completion_error(outcome: CompletionResult | SvdRankError | None) -> str:
+    if isinstance(outcome, SvdRankError):
+        return f"completion {type(outcome).__name__}: {outcome}"
+    if outcome is not None and not outcome.converged:
+        return "completion NotConverged"
+    return ""
+
+
+def _add_error(row: ResultRow, exc: SvdRankError) -> None:
+    row.error = (row.error + "; " if row.error else "") + f"{type(exc).__name__}: {exc}"
 
 
 def _theory_columns(row: ResultRow, result: RankingResult, scores: ScoreVector,
@@ -197,29 +256,22 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
     scores = generate_scores(cfg.scores, cfg.n, seed=score_seed,
                              a=cfg.gamma_shape, b=cfg.gamma_scale)
     mset = generate_ero(scores, EROParams(n=cfg.n, p=p, eta=eta, seed=ero_seed))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GraphDisconnectedWarning)
-        H = build_H(mset)
-    H_run, scale_from, completion_error = H, None, ""
-    if cfg.completion:
-        try:
-            comp = complete_matrix(mset, cfg.completion_cfg)
-            H_run, scale_from = comp.to_sparse(), H
-            if not comp.converged:
-                completion_error = "completion NotConverged"
-        except SvdRankError as exc:
-            completion_error = f"completion {type(exc).__name__}: {exc}"
+    run = complete_and_rank(mset, cfg.algorithms,
+                            cfg.completion_cfg if cfg.completion else None, algo_seed)
+    completion_error = _completion_error(run.completion)
 
     true_perm = ranking_from_scores(scores.values)
     rows = []
-    for name in cfg.algorithms:
+    for name, result, runtime_ms in run.results:
         row = ResultRow(algorithm=name, n=cfg.n, p=p, gamma=gamma, trial=trial,
                         error=completion_error)
-        start = time.perf_counter()
+        rows.append(row)
+        if isinstance(result, SvdRankError):
+            _add_error(row, result)
+            continue
+        row.runtime_ms = runtime_ms
+        est = result.score_estimate
         try:
-            result = _run_algorithm(name, H_run, algo_seed, scale_from)
-            row.runtime_ms = (time.perf_counter() - start) * 1e3
-            est = result.score_estimate
             if "kendall" in cfg.metrics:
                 row.kendall = float(kendall_distance(true_perm, result.permutation))
             if "kendall_norm" in cfg.metrics:
@@ -230,17 +282,15 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
             if "rmse" in cfg.metrics:
                 row.rmse = rmse(scores.values, est)
             if "upsets" in cfg.metrics:
-                row.upsets = float(count_upsets(H, est))
+                row.upsets = float(count_upsets(run.H, est))
             if "weighted_upsets" in cfg.metrics:
-                row.weighted_upsets = weighted_upsets(H, est)
+                row.weighted_upsets = weighted_upsets(run.H, est)
             if "max_displacement" in cfg.metrics:
                 row.max_displacement = float(max_displacement(true_perm, result.permutation))
             if "theory" in cfg.metrics and eta > 0 and p > 0:
                 _theory_columns(row, result, scores, p, eta, cfg.epsilon)
         except SvdRankError as exc:
-            row.error = (row.error + "; " if row.error else "") + \
-                f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+            _add_error(row, exc)
     return rows
 
 
@@ -388,37 +438,23 @@ def evaluate_real(m: MeasurementSet, algorithms: tuple[str, ...] = ALGORITHMS,
     half the comparable pairs.
     """
     pruned, _ = prune_and_restrict(m, min_degree=min_degree)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GraphDisconnectedWarning)
-        H = build_H(pruned)
-    H_run, scale_from = H, None
-    completion_error = ""
-    if completion is not None:
-        try:
-            comp = complete_matrix(pruned, completion)
-            H_run, scale_from = comp.to_sparse(), H
-            if not comp.converged:
-                completion_error = "completion NotConverged"
-        except SvdRankError as exc:
-            completion_error = f"completion {type(exc).__name__}: {exc}"
+    run = complete_and_rank(pruned, algorithms, completion, seed)
+    completion_error = _completion_error(run.completion)
 
     rows = []
-    for name in algorithms:
+    for name, result, runtime_ms in run.results:
         row = ResultRow(algorithm=name, n=pruned.n, error=completion_error)
-        start = time.perf_counter()
-        try:
-            result = _run_algorithm(name, H_run, seed, scale_from)
-            row.runtime_ms = (time.perf_counter() - start) * 1e3
-            row.upsets = float(count_upsets(H, result.score_estimate))
-            row.weighted_upsets = weighted_upsets(H, result.score_estimate)
-        except SvdRankError as exc:
-            row.error = (row.error + "; " if row.error else "") + \
-                f"{type(exc).__name__}: {exc}"
         rows.append(row)
+        if isinstance(result, SvdRankError):
+            _add_error(row, result)
+            continue
+        row.runtime_ms = runtime_ms
+        row.upsets = float(count_upsets(run.H, result.score_estimate))
+        row.weighted_upsets = weighted_upsets(run.H, result.score_estimate)
     random_scores = np.random.default_rng(seed).random(pruned.n)
     rows.append(ResultRow(algorithm="random", n=pruned.n,
-                          upsets=float(count_upsets(H, random_scores)),
-                          weighted_upsets=weighted_upsets(H, random_scores)))
+                          upsets=float(count_upsets(run.H, random_scores)),
+                          weighted_upsets=weighted_upsets(run.H, random_scores)))
     return rows
 
 

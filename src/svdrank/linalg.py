@@ -28,8 +28,12 @@ from .errors import (
 class SkewSparseMatrix:
     """n x n skew-symmetric matrix stored as one entry per unordered pair.
 
-    ``rows[k] < cols[k]`` holds for every stored entry; the value at
-    (cols[k], rows[k]) is ``-values[k]`` and the diagonal is zero.
+    This is also the package's edge list of pairwise measurements: entry k
+    says item ``rows[k]`` exceeds item ``cols[k]`` by ``values[k]``.
+    ``rows[k] < cols[k]`` holds for every stored entry, no pair is stored
+    twice and every value is finite; the value at (cols[k], rows[k]) is
+    ``-values[k]`` and the diagonal is zero. The arrays are validated once
+    here, made read-only and kept in the order given.
     """
 
     n: int
@@ -51,8 +55,12 @@ class SkewSparseMatrix:
             if np.any(rows >= cols):
                 raise InvalidParam("entries must satisfy row < col (stored once per pair)")
             keys = rows * self.n + cols
-            if np.unique(keys).size != keys.size:
+            if np.any(keys[1:] <= keys[:-1]):  # not strictly increasing: sort a copy
+                keys = np.sort(keys)
+            if np.any(keys[1:] == keys[:-1]):
                 raise InvalidParam("duplicate unordered pair")
+            if not np.all(np.isfinite(values)):
+                raise InvalidParam("entry values must be finite")
         for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -60,6 +68,8 @@ class SkewSparseMatrix:
     @property
     def num_entries(self) -> int:
         return int(self.rows.size)
+
+    m = num_entries  # edge count under its measurement-set name
 
     @property
     def max_abs(self) -> float:
@@ -71,6 +81,7 @@ class SkewSparseMatrix:
         return component_count(self.n, self.rows, self.cols) == 1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Product Hx using the antisymmetric completion of the stored entries."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected vector of length {self.n}, got {x.shape}")
@@ -92,7 +103,7 @@ class SkewSparseMatrix:
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (self.n,):
             raise DimensionMismatch("scaling vector has wrong length")
-        return SkewSparseMatrix(self.n, self.rows.copy(), self.cols.copy(),
+        return SkewSparseMatrix(self.n, self.rows, self.cols,
                                 self.values * d[self.rows] * d[self.cols])
 
     def to_dense(self) -> np.ndarray:
@@ -146,9 +157,7 @@ class SpectralPair:
         return np.column_stack([self.u1, self.u2])
 
 
-def matvec(H: SkewSparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Product Hx using the antisymmetric completion of the stored entries."""
-    return H.matvec(x)
+matvec = SkewSparseMatrix.matvec  # matvec(H, x) == H.matvec(x)
 
 
 def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,

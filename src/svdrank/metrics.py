@@ -83,22 +83,14 @@ def pearson_correlation(r: np.ndarray, r_hat: np.ndarray) -> float:
     return float(np.clip((x @ y) / (nx * ny), -1.0, 1.0))
 
 
-def rmse(r: np.ndarray, r_hat: np.ndarray, unsquared_norm: bool = False) -> float:
-    """Root-mean-square error after centering both vectors.
-
-    Default is sqrt(mean of squared differences). ``unsquared_norm`` switches
-    to sqrt(||difference||_2 / n), the non-squared reading that some figure
-    axes use.
-    """
+def rmse(r: np.ndarray, r_hat: np.ndarray) -> float:
+    """Root-mean-square error after centering both vectors: sqrt(mean d^2)."""
     r = np.asarray(r, dtype=np.float64)
     r_hat = np.asarray(r_hat, dtype=np.float64)
     if r.shape != r_hat.shape:
         raise DimensionMismatch("vectors have different lengths")
     d = (r - r.mean()) - (r_hat - r_hat.mean())
-    n = r.size
-    if unsquared_norm:
-        return float(np.sqrt(np.linalg.norm(d) / n))
-    return float(np.sqrt((d @ d) / n))
+    return float(np.sqrt((d @ d) / r.size))
 
 
 def count_upsets(R: SkewSparseMatrix, s: np.ndarray) -> int:

@@ -1,5 +1,9 @@
 """Synthetic measurement generation and measurement-matrix assembly.
 
+A measurement set is the edge list {i < j, value} of observed offsets, held
+in :class:`~svdrank.linalg.SkewSparseMatrix`: that one type validates the
+edges once and is, unchanged, the skew-symmetric measurement matrix H.
+
 Measurements follow an outliers model on an Erdos-Renyi graph: each of the
 n(n-1)/2 unordered pairs is observed independently with probability p, and
 an observed pair {i, j} carries the true difference r_i - r_j with
@@ -18,12 +22,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GraphDisconnectedWarning, InvalidParam
-from .linalg import SkewSparseMatrix, component_count
+from .linalg import SkewSparseMatrix
 
 
 @dataclass(frozen=True)
@@ -71,40 +74,8 @@ class EROParams:
         return 1.0 - self.eta
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Edge list {i < j, value} of raw pairwise difference measurements."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
-            raise InvalidParam("rows, cols, values must be 1-d arrays of equal length")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= self.n:
-                raise InvalidParam("edge index out of range")
-            if np.any(rows >= cols):
-                raise InvalidParam("edges must satisfy row < col")
-            keys = rows * self.n + cols
-            if np.unique(keys).size != keys.size:
-                raise InvalidParam("duplicate pair in measurement set")
-        for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def m(self) -> int:
-        return int(self.rows.size)
-
-    @cached_property
-    def is_connected(self) -> bool:
-        return component_count(self.n, self.rows, self.cols) == 1
+# The edge list of raw pairwise measurements is the measurement matrix type.
+MeasurementSet = SkewSparseMatrix
 
 
 def generate_scores(kind: str, n: int, seed: int = 0, a: float = 0.5,
@@ -153,14 +124,14 @@ def generate_ero(r: ScoreVector, params: EROParams) -> MeasurementSet:
 
 
 def build_H(m: MeasurementSet) -> SkewSparseMatrix:
-    """Assemble the skew-symmetric measurement matrix from an edge list.
+    """Return the skew-symmetric measurement matrix of an edge list.
 
+    The measurement set already is that matrix, so it is returned as is,
+    with its connectivity computed once and cached for the algorithms.
     Emits GraphDisconnectedWarning when the measurement graph is not
     connected; scores can then only be recovered within components.
     """
-    H = SkewSparseMatrix(n=m.n, rows=m.rows.copy(), cols=m.cols.copy(),
-                         values=m.values.copy())
     if not m.is_connected:
         warnings.warn("measurement graph is disconnected", GraphDisconnectedWarning,
                       stacklevel=2)
-    return H
+    return m

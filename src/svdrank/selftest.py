@@ -22,7 +22,6 @@ from .algorithms import (
 )
 from .baselines import (
     CompletionConfig,
-    IncidenceSystem,
     complete_matrix,
     least_squares_rank,
     rowsum_rank,
@@ -125,7 +124,7 @@ def _check_cg_tree():
     rows = np.array([0, 1, 2])
     cols = np.array([1, 2, 3])
     w = np.array([1.0, 2.0, -1.0])
-    res = least_squares_rank(IncidenceSystem(rows, cols, w), 4)
+    res = least_squares_rank(SkewSparseMatrix(4, rows, cols, w))
     truth = center(np.array([2.0, 1.0, -1.0, 0.0]))
     assert np.allclose(res.score_estimate, truth, atol=1e-8)
 

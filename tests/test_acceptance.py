@@ -22,7 +22,7 @@ from svdrank.algorithms import (
     svd_nrs,
     svd_rs,
 )
-from svdrank.baselines import IncidenceSystem, complete_matrix, least_squares_rank
+from svdrank.baselines import complete_matrix, least_squares_rank
 from svdrank.harness import ExperimentConfig, run_sweep, write_csv
 from svdrank.linalg import SkewSparseMatrix, top2_svd
 from svdrank.metrics import (
@@ -224,7 +224,7 @@ def test_c09_least_squares_oracle():
         keep[ju - iu == 1] = True
         i, j = iu[keep], ju[keep]
         w = rng.standard_normal(i.size)
-        res = least_squares_rank(IncidenceSystem(i, j, w), n, tol=1e-12)
+        res = least_squares_rank(SkewSparseMatrix(n, i, j, w), tol=1e-12)
         B = np.zeros((i.size, n))
         B[np.arange(i.size), i] = 1.0
         B[np.arange(i.size), j] = -1.0

@@ -6,7 +6,6 @@ import pytest
 from svdrank.algorithms import ranking_from_scores, svd_rs
 from svdrank.baselines import (
     CompletionConfig,
-    IncidenceSystem,
     coherence,
     complete_matrix,
     least_squares_rank,
@@ -54,27 +53,27 @@ class TestRowsum:
 class TestLeastSquares:
     def test_tree_exact(self):
         # path 0-1-2 with offsets fixing x = (3, 1, 2) up to shift
-        sys = IncidenceSystem(np.array([0, 1]), np.array([1, 2]),
-                              np.array([2.0, -1.0]))
-        res = least_squares_rank(sys, 3)
+        H = SkewSparseMatrix(3, np.array([0, 1]), np.array([1, 2]),
+                             np.array([2.0, -1.0]))
+        res = least_squares_rank(H)
         truth = np.array([3.0, 1.0, 2.0])
         assert np.allclose(res.score_estimate, truth - truth.mean(), atol=1e-9)
 
     def test_single_edge(self):
-        sys = IncidenceSystem(np.array([0]), np.array([1]), np.array([4.0]))
-        res = least_squares_rank(sys, 2)
+        H = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.array([4.0]))
+        res = least_squares_rank(H)
         assert np.allclose(res.score_estimate, [2.0, -2.0], atol=1e-10)
 
     def test_centered_solution(self, rng):
         i, j, w = random_connected_measurements(40, 0.1, rng)
-        res = least_squares_rank(IncidenceSystem(i, j, w), 40)
+        res = least_squares_rank(SkewSparseMatrix(40, i, j, w))
         assert abs(res.score_estimate.sum()) < 1e-8
 
     def test_matches_pseudoinverse_oracle(self, rng):
         for _ in range(5):
             n = int(rng.integers(10, 51))
             i, j, w = random_connected_measurements(n, 0.15, rng)
-            res = least_squares_rank(IncidenceSystem(i, j, w), n, tol=1e-12)
+            res = least_squares_rank(SkewSparseMatrix(n, i, j, w), tol=1e-12)
             B = np.zeros((i.size, n))
             B[np.arange(i.size), i] = 1.0
             B[np.arange(i.size), j] = -1.0
@@ -83,14 +82,14 @@ class TestLeastSquares:
             assert np.linalg.norm(res.score_estimate - oracle) < 1e-6
 
     def test_disconnected(self):
-        sys = IncidenceSystem(np.array([0]), np.array([1]), np.array([1.0]))
+        H = SkewSparseMatrix(4, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(GraphDisconnected):
-            least_squares_rank(sys, 4)
+            least_squares_rank(H)
 
     def test_not_converged_carries_partial(self, rng):
         i, j, w = random_connected_measurements(30, 0.3, rng)
         with pytest.raises(NotConverged) as info:
-            least_squares_rank(IncidenceSystem(i, j, w), 30, tol=1e-14, max_iter=1)
+            least_squares_rank(SkewSparseMatrix(30, i, j, w), tol=1e-14, max_iter=1)
         assert info.value.result is not None
 
 

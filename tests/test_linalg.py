@@ -38,6 +38,18 @@ class TestSkewSparseMatrix:
             SkewSparseMatrix(3, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
         with pytest.raises(InvalidParam):
             SkewSparseMatrix(3, np.array([0]), np.array([3]), np.array([1.0]))
+        with pytest.raises(InvalidParam):  # unsorted input with a repeated pair
+            SkewSparseMatrix(3, np.array([0, 0, 0]), np.array([2, 1, 2]),
+                             np.array([1.0, 2.0, 3.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParam):
+                SkewSparseMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad]))
+
+    def test_accepts_unsorted_entries_in_given_order(self):
+        rows, cols, values = np.array([1, 0, 0]), np.array([2, 2, 1]), np.array([1.0, 2.0, 3.0])
+        H = SkewSparseMatrix(3, rows, cols, values)
+        assert np.array_equal(H.rows, rows) and np.array_equal(H.cols, cols)
+        assert np.array_equal(H.values, values)
 
     def test_dense_roundtrip(self, rng):
         H = random_sparse(12, 0.4, rng)

@@ -115,14 +115,6 @@ class TestRmse:
         ch = s - s.mean()
         assert rmse(r, s) == pytest.approx(np.sqrt(np.mean((c - ch) ** 2)), abs=1e-12)
 
-    def test_unsquared_norm_variant(self, rng):
-        r = rng.standard_normal(10)
-        s = rng.standard_normal(10)
-        c = r - r.mean()
-        ch = s - s.mean()
-        expected = np.sqrt(np.linalg.norm(c - ch) / 10)
-        assert rmse(r, s, unsquared_norm=True) == pytest.approx(expected, abs=1e-12)
-
 
 class TestUpsets:
     def test_consistent_scores_no_upsets(self):
