@@ -212,10 +212,14 @@ def complete_and_rank(m: MeasurementSet, algorithms: tuple[str, ...],
 
 
 def _completion_error(outcome: CompletionResult | SvdRankError | None) -> str:
+    """Row error for a completion that raised.
+
+    A completion that stops at ``max_iter`` still returns a matrix, and the
+    algorithms rank on it as ``svdrank rank --completion`` does, so it is not
+    an error.
+    """
     if isinstance(outcome, SvdRankError):
         return f"completion {type(outcome).__name__}: {outcome}"
-    if outcome is not None and not outcome.converged:
-        return "completion NotConverged"
     return ""
 
 

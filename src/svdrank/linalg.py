@@ -4,8 +4,12 @@ The measurement matrix is skew-symmetric, so each unordered pair is stored
 exactly once (row < col) and the mirrored entry is implied by negation.
 Because H^T = -H, the Gram operator H H^T equals -H^2 and is symmetric
 positive semidefinite; every singular value of a skew-symmetric matrix has
-even multiplicity, so the dominant singular pair is always degenerate and
-the SVD here iterates on a block of size 2.
+even multiplicity, so the dominant singular pair is always degenerate.
+``top2_svd`` therefore runs block Lanczos with blocks of size 2 on -H^2:
+full reorthogonalisation, a Rayleigh-Ritz step every iteration and a thick
+restart that keeps the leading Ritz vectors once the basis is full. A
+Krylov method needs about sqrt(1/gap) iterations where block power
+iteration needs about 1/gap, and the basis costs O(n) memory per column.
 """
 
 from __future__ import annotations
@@ -135,6 +139,7 @@ class SpectralPair:
     sigma2: float
     iterations: int = 0
     residual: float = 0.0
+    sigma3: float = float("nan")  # lower bound on the third singular value, if known
 
     def __post_init__(self):
         u1 = np.asarray(self.u1, dtype=np.float64)
@@ -147,6 +152,8 @@ class SpectralPair:
             raise InvalidParam("singular vectors must be orthogonal")
         if not (self.sigma1 >= self.sigma2 >= 0.0):
             raise InvalidParam("need sigma1 >= sigma2 >= 0")
+        if self.sigma3 > self.sigma2 or self.sigma3 < 0.0:
+            raise InvalidParam("need sigma2 >= sigma3 >= 0 when sigma3 is known")
         for name, arr in (("u1", u1), ("u2", u2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -160,20 +167,67 @@ class SpectralPair:
 matvec = SkewSparseMatrix.matvec  # matvec(H, x) == H.matvec(x)
 
 
+# Block Lanczos sizes for top2_svd: the basis holds at most LANCZOS_BASIS
+# columns (blocks of two); a thick restart then keeps the LANCZOS_KEEP
+# leading Ritz vectors. The basis and its products cost O(n * LANCZOS_BASIS).
+LANCZOS_BASIS = 64
+LANCZOS_KEEP = 16
+# A new basis column left with less than this share of the norm of its
+# operator product after orthogonalisation is a breakdown: the Krylov space
+# is invariant (or fills the whole space) up to rounding, and the column is
+# replaced by a seeded random direction.
+BREAKDOWN = 1e-13
+
+
+def _next_block(W: np.ndarray, ref: np.ndarray, V: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """Two orthonormal columns spanning W, orthogonal to the orthonormal columns of V.
+
+    The caller has projected V out of W once; one more pass over the block
+    and two within it make classical Gram-Schmidt applied twice. A column
+    left with at most ``BREAKDOWN`` of its reference norm ``ref`` is replaced
+    by a Gaussian draw from ``rng``, projected the same way.
+    """
+    W = W - V @ (V.T @ W)
+    X = np.empty_like(W)
+    for j in range(2):
+        w, floor = W[:, j], BREAKDOWN * ref[j]
+        while True:
+            for _ in range(2):
+                w = w - X[:, :j] @ (X[:, :j].T @ w)
+            norm = np.linalg.norm(w)
+            if norm > floor:
+                break
+            w = rng.standard_normal(W.shape[0])
+            floor = BREAKDOWN * np.linalg.norm(w)
+            for _ in range(2):
+                w = w - V @ (V.T @ w)
+        X[:, j] = w / norm
+    return X
+
+
 def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
              seed: int = 0) -> SpectralPair:
-    """Dominant singular pair of H by block subspace iteration on -H^2.
+    """Dominant singular pair of H by restarted block Lanczos on -H^2.
 
-    Runs block power iteration of block size 2 on the symmetric PSD operator
-    x -> -H(Hx) with QR re-orthonormalization each sweep and a Rayleigh-Ritz
-    rotation before the residual test. Block size 2 is required: the top
-    singular value of a skew-symmetric matrix always has multiplicity two,
-    so a single power vector has no well-defined limit. Converged when the
-    relative residual ||(-H^2)v - lambda v|| / lambda is at most ``tol`` for
-    both block vectors.
+    The symmetric PSD operator x -> -H(Hx) is applied to blocks of size 2:
+    the top singular value of a skew-symmetric matrix always has
+    multiplicity two, so a single Krylov vector cannot resolve it. Each
+    iteration applies the operator to the newest block (four matvecs),
+    stores the products beside the basis, and takes the top two Ritz pairs
+    of the basis (Rayleigh-Ritz); their residuals follow from the part of
+    the new products outside the basis, which, orthogonalised against the
+    whole basis (full reorthogonalisation), is the next block. When
+    the basis would exceed ``LANCZOS_BASIS`` columns (or n), a thick restart
+    shrinks it to its ``LANCZOS_KEEP`` leading Ritz vectors, whose products
+    are the same combinations of the stored ones, so no matvec is spent on
+    it. Converged when the relative residual ||(-H^2)v - lambda v|| / lambda
+    is at most ``tol`` for both Ritz vectors.
 
     The starting block is seeded Gaussian, so runs are reproducible.
-    Raises DegenerateSpectrum for a numerically zero matrix and NotConverged
+    ``sigma3`` is the square root of the third Ritz value, a lower bound on
+    the third singular value (nan while the basis has two columns). Raises
+    DegenerateSpectrum for a numerically zero matrix and NotConverged
     (carrying the partial result) when ``max_iter`` is exhausted.
     """
     if H.n < 2:
@@ -185,32 +239,53 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
         raise DegenerateSpectrum("matrix has no nonzero entries")
 
     rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((H.n, 2)))
-    lam = np.zeros(2)
-    V = Q
-    residual = np.inf
+    X, _ = np.linalg.qr(rng.standard_normal((H.n, 2)))
+    cap = min(LANCZOS_BASIS, H.n)
+    V = np.empty((H.n, cap), order="F")  # orthonormal basis
+    AV = np.empty((H.n, cap), order="F")  # (-H^2) V
+    T = np.empty((cap, cap))  # V^T (-H^2) V
+    floor_min = max(tol * (scale * H.n) ** 2, np.finfo(float).tiny)
+
+    def rel_residual(R, theta):
+        return max(np.linalg.norm(R[:, 0]), np.linalg.norm(R[:, 1])) / max(theta[1], floor_min)
+
+    k = 0
     for sweep in range(1, max_iter + 1):
-        Z = np.column_stack([-H.matvec(H.matvec(Q[:, 0])),
-                             -H.matvec(H.matvec(Q[:, 1]))])
-        T = Q.T @ Z
-        T = 0.5 * (T + T.T)
-        lam, W = np.linalg.eigh(T)
-        lam, W = lam[::-1], W[:, ::-1]
-        V = Q @ W
-        R = Z @ W - V * lam
-        floor = max(lam[1], tol * (scale * H.n) ** 2, np.finfo(float).tiny)
-        residual = max(np.linalg.norm(R[:, 0]), np.linalg.norm(R[:, 1])) / floor
-        if residual <= tol:
-            break
-        Q, _ = np.linalg.qr(Z)
-    sigma = np.sqrt(np.clip(lam, 0.0, None))
-    pair = SpectralPair(u1=V[:, 0], u2=V[:, 1], sigma1=float(sigma[0]),
-                        sigma2=float(sigma[1]), iterations=sweep,
-                        residual=float(residual))
+        Z = np.column_stack([-H.matvec(H.matvec(X[:, 0])),
+                             -H.matvec(H.matvec(X[:, 1]))])
+        V[:, k:k + 2], AV[:, k:k + 2] = X, Z
+        k += 2
+        C = V[:, :k].T @ Z
+        C[-2:] = 0.5 * (C[-2:] + C[-2:].T)
+        T[:k, k - 2:k] = C
+        T[k - 2:k, :k] = C.T
+        theta, Y = np.linalg.eigh(T[:k, :k])
+        theta, Y = theta[::-1], Y[:, ::-1]
+        # (-H^2) V = V T + W E^T with E selecting the newest block, so the
+        # Ritz residuals are W times the last two rows of Y. Once that
+        # estimate passes, the residual is measured directly.
+        W = Z - V[:, :k] @ C
+        if sweep == max_iter or rel_residual(W @ Y[-2:, :2], theta) <= tol:
+            U = V[:, :k] @ Y[:, :2]
+            residual = rel_residual(AV[:, :k] @ Y[:, :2] - U * theta[:2], theta)
+            if residual <= tol or sweep == max_iter:
+                break
+        if k + 2 > cap:  # thick restart onto the leading Ritz vectors
+            keep = min(LANCZOS_KEEP, cap - 2)
+            V[:, :keep] = V[:, :k] @ Y[:, :keep]
+            AV[:, :keep] = AV[:, :k] @ Y[:, :keep]
+            T[:keep, :keep] = np.diag(theta[:keep])
+            k = keep
+        X = _next_block(W, np.linalg.norm(Z, axis=0), V[:, :k], rng)
+    sigma = np.sqrt(np.clip(theta[:3], 0.0, None))
+    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(sigma[0]),
+                        sigma2=float(sigma[1]),
+                        sigma3=float(sigma[2]) if sigma.size > 2 else float("nan"),
+                        iterations=sweep, residual=float(residual))
     if pair.sigma1 <= tol * scale * H.n:
         raise DegenerateSpectrum("top singular value is numerically zero")
     if residual > tol:
-        raise NotConverged(f"subspace iteration stalled at residual {residual:.3e}",
+        raise NotConverged(f"block Lanczos stalled at residual {residual:.3e}",
                            result=pair, residual=float(residual), iterations=sweep)
     return pair
 

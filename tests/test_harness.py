@@ -121,6 +121,28 @@ algorithms = svd_rs
         assert all(r.kendall == 0 for r in completed), [r.kendall for r in completed]
         assert sum(r.kendall for r in plain) > 0
 
+    def test_completion_stopped_at_max_iter_still_ranks(self):
+        cfg = parse_config_text("""
+n = 40
+scores = uniform01
+p_grid = 0.3
+gamma_grid = 0.2
+trials = 3
+seed = 9
+algorithms = svd_rs, rowsum
+completion = on
+completion_max_iter = 2
+""")
+        rows = run_sweep(cfg)
+        raw = [r for r in rows if not r.agg]
+        assert len(raw) == 6
+        assert all(r.error == "" and r.kendall is not None for r in raw)
+        assert all(r.trials_ok == cfg.trials for r in rows if r.agg)
+        scores = generate_scores("uniform01", 40, seed=9)
+        mset = generate_ero(scores, EROParams(n=40, p=0.3, eta=0.8, seed=9))
+        real = evaluate_real(mset, algorithms=("svd_rs",), completion=cfg.completion_cfg)
+        assert all(r.error == "" and r.upsets is not None for r in real)
+
     def test_theory_columns(self):
         cfg = parse_config_text("""
 n = 60

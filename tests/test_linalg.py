@@ -7,9 +7,11 @@ from svdrank.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     InvalidParam,
+    NotConverged,
     ZeroProjection,
 )
 from svdrank.linalg import (
+    LANCZOS_BASIS,
     SkewSparseMatrix,
     SpectralPair,
     component_count,
@@ -18,6 +20,7 @@ from svdrank.linalg import (
     project_onto_span,
     top2_svd,
 )
+from svdrank.model import EROParams, build_H, generate_ero, generate_scores
 
 from conftest import make_skew_dense, noiseless_matrix
 
@@ -26,6 +29,38 @@ def random_sparse(n, density, rng):
     iu, ju = np.triu_indices(n, 1)
     keep = rng.random(iu.size) < density
     return SkewSparseMatrix(n, iu[keep], ju[keep], rng.standard_normal(int(keep.sum())))
+
+
+def subspace_sine(pair, U):
+    """Sine of the largest principal angle between span{u1, u2} and U's columns."""
+    span = pair.basis
+    return np.linalg.norm(U - span @ (span.T @ U), 2)
+
+
+def skew_with_singular_values(pairs, rng):
+    """Dense skew matrix Q B Q^T whose singular values are ``pairs``, each twice."""
+    n = 2 * len(pairs)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    B = np.zeros((n, n))
+    for k, s in enumerate(pairs):
+        B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = s, -s
+    dense = Q @ B @ Q.T
+    return 0.5 * (dense - dense.T)
+
+
+@pytest.fixture
+def count_matvecs(monkeypatch):
+    """Record every H.matvec call; each must be on a real vector."""
+    calls = []
+    real = SkewSparseMatrix.matvec
+
+    def counted(self, x):
+        assert np.isrealobj(x)
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(SkewSparseMatrix, "matvec", counted)
+    return calls
 
 
 class TestSkewSparseMatrix:
@@ -137,6 +172,88 @@ class TestTop2Svd:
         H = noiseless_matrix(0.4 * 0.8 * r)
         pair = top2_svd(H)
         assert pair.sigma1 == pytest.approx(pair.sigma2, rel=1e-8)
+
+
+class TestBlockLanczos:
+    def test_dense_oracle_odd_and_even_sizes(self, rng):
+        # n up to 150 > LANCZOS_BASIS, so the larger sizes restart; small
+        # odd n fill the whole space and end on a breakdown.
+        for n in (2, 3, 4, 5, 6, 7, 11, 20, 33, 62, 63, 64, 65, 66, 67, 100, 129, 150):
+            dense = make_skew_dense(n, rng)
+            pair = top2_svd(SkewSparseMatrix.from_dense(dense), tol=1e-12, max_iter=5000,
+                            seed=int(rng.integers(1 << 31)))
+            U, S, _ = np.linalg.svd(dense)
+            assert subspace_sine(pair, U[:, :2]) < 1e-8, n
+            assert pair.sigma1 == pytest.approx(S[0], rel=1e-10)
+            assert pair.sigma2 == pytest.approx(S[1], rel=1e-10)
+            if n == 2:
+                assert np.isnan(pair.sigma3)
+            else:
+                assert pair.sigma3 <= S[2] * (1 + 1e-12) + 1e-12, n
+
+    def test_dense_oracle_through_restarts(self):
+        # Singular values 1.0, 0.99, 0.98, ...: a small gap that needs restarts.
+        rng = np.random.default_rng(5)
+        dense = skew_with_singular_values(np.linspace(1.0, 0.5, 75), rng)
+        pair = top2_svd(SkewSparseMatrix.from_dense(dense), tol=1e-12, max_iter=5000)
+        assert 2 * pair.iterations > LANCZOS_BASIS
+        U, S, _ = np.linalg.svd(dense)
+        assert subspace_sine(pair, U[:, :2]) < 1e-8
+        assert pair.sigma1 == pytest.approx(S[0], rel=1e-12)
+        assert S[2] * (1 - 1e-6) <= pair.sigma3 <= S[2] * (1 + 1e-12)
+
+    def test_noiseless_rank2_breaks_down_after_one_expansion(self, count_matvecs):
+        # -H^2 has rank 2: the start block and its products span every
+        # direction that matters, so two iterations are exact and every
+        # later block is a breakdown refilled at random.
+        r = np.random.default_rng(3).random(50)
+        H = noiseless_matrix(r)
+        expected = np.linalg.norm(r - r.mean()) * np.sqrt(50)
+        pair = top2_svd(H)
+        assert pair.iterations == 2 and len(count_matvecs) == 8
+        assert pair.sigma1 == pytest.approx(expected, rel=1e-12)
+        assert pair.sigma2 == pytest.approx(expected, rel=1e-12)
+        truth = np.column_stack([np.ones(50), r - r.mean()])
+        truth /= np.linalg.norm(truth, axis=0)
+        assert subspace_sine(pair, truth) < 1e-12
+        with pytest.raises(NotConverged) as info:  # below rounding: never converges
+            top2_svd(H, tol=1e-17, max_iter=6)
+        partial = info.value.result
+        assert info.value.iterations == 6 and len(count_matvecs) == 8 + 24
+        assert subspace_sine(partial, truth) < 1e-12
+        assert partial.sigma3 == pytest.approx(0.0, abs=1e-6 * expected)
+
+    def test_sparse_noisy_normalized_instance_converges(self):
+        # n=2000, p=0.01, gamma=0.6, degree-normalized as svd_nrs does: block
+        # power iteration stopped at residual 2e-6 after max_iter=2000 here.
+        scores = generate_scores("uniform01", 2000, seed=1)
+        H = build_H(generate_ero(scores, EROParams(n=2000, p=0.01, eta=0.4, seed=1)))
+        H = H.scaled(1.0 / np.sqrt(H.abs_row_sums()))
+        pair = top2_svd(H, seed=1)
+        assert pair.residual <= 1e-10 and 4 * pair.iterations <= 600
+        U, S, _ = np.linalg.svd(H.to_dense())
+        assert subspace_sine(pair, U[:, :2]) < 1e-7
+        assert pair.sigma1 == pytest.approx(S[0], rel=1e-10)
+        assert S[2] * (1 - 1e-3) <= pair.sigma3 <= S[2] * (1 + 1e-12)
+
+    def test_four_matvecs_per_iteration(self, rng, count_matvecs):
+        H = random_sparse(80, 0.1, rng)
+        pair = top2_svd(H)
+        assert len(count_matvecs) == 4 * pair.iterations
+        count_matvecs.clear()
+        with pytest.raises(NotConverged) as info:
+            top2_svd(H, max_iter=3)
+        assert info.value.iterations == 3 and len(count_matvecs) == 12
+        partial = info.value.result
+        assert partial.iterations == 3 and partial.residual == info.value.residual
+        assert np.isfinite(partial.sigma3) and partial.sigma3 <= partial.sigma2
+
+    def test_same_seed_gives_identical_pair(self, rng):
+        H = random_sparse(300, 0.05, rng)
+        a, b = top2_svd(H, seed=11), top2_svd(H, seed=11)
+        assert a.iterations == b.iterations and a.residual == b.residual
+        assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
+        assert (a.sigma1, a.sigma2, a.sigma3) == (b.sigma1, b.sigma2, b.sigma3)
 
 
 class TestProjection:

@@ -8,6 +8,7 @@ import pytest
 from svdrank.errors import DegenerateVariance, DimensionMismatch
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import (
+    _greater_before,
     count_upsets,
     kendall_distance,
     max_displacement,
@@ -46,6 +47,19 @@ def displacement_bruteforce(pi, pi_hat):
                 c += 1
         worst = max(worst, c)
     return worst
+
+
+class TestGreaterBefore:
+    def test_matches_bruteforce(self, rng):
+        for n in (0, 1, 2, 3, 5, 8, 9, 31, 64, 1500):
+            seq = rng.permutation(n)
+            earlier = np.arange(n)[:, None] < np.arange(n)[None, :]
+            expected = (earlier & (seq[:, None] > seq[None, :])).sum(axis=0)
+            assert np.array_equal(_greater_before(seq), expected), n
+
+    def test_sorted_and_reversed(self):
+        assert np.array_equal(_greater_before(np.arange(7)), np.zeros(7))
+        assert np.array_equal(_greater_before(np.arange(7)[::-1]), np.arange(7))
 
 
 class TestKendall:
