@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyRatios,
     GraphDisconnected,
     IsolatedNode,
@@ -93,11 +92,9 @@ def compute_ratio_entries(H: SkewSparseMatrix, s: np.ndarray) -> np.ndarray:
     excluded; raises EmptyRatios when nothing survives.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (H.n,):
-        raise DimensionMismatch("score vector length does not match matrix")
+    offsets = H.offsets(s)
     if H.num_entries == 0:
         raise EmptyRatios("no observed pairs")
-    offsets = s[H.rows] - s[H.cols]
     zeta = 1e-12 * (s.max() - s.min())
     keep = np.abs(offsets) > zeta
     if not keep.any():
@@ -115,10 +112,7 @@ def recover_scale_median(ratios: np.ndarray) -> float:
 
 def recover_scale_ls(H: SkewSparseMatrix, s: np.ndarray) -> float:
     """Least-squares scale: sum of measurements over sum of estimated offsets."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (H.n,):
-        raise DimensionMismatch("score vector length does not match matrix")
-    denom = float((s[H.rows] - s[H.cols]).sum())
+    denom = float(H.offsets(s).sum())
     if denom == 0.0:
         raise ZeroDenominator("estimated offsets sum to zero")
     return float(H.values.sum()) / denom

@@ -55,8 +55,7 @@ def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
     """Rank by centered row sums of the measurement matrix."""
     if H.n < 2:
         raise InvalidParam("need n >= 2")
-    sums = (np.bincount(H.rows, weights=H.values, minlength=H.n)
-            - np.bincount(H.cols, weights=H.values, minlength=H.n))
+    sums = H.node_sums(H.values)
     scores = center(sums)
     return RankingResult(permutation=ranking_from_scores(scores),
                          score_estimate=scores, beta=1,
@@ -80,15 +79,7 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
     if not H.is_connected:
         raise GraphDisconnected("incidence graph is not connected")
 
-    i, j, w = H.rows, H.cols, H.values
-
-    def laplacian(x: np.ndarray) -> np.ndarray:
-        flow = x[i] - x[j]
-        return (np.bincount(i, weights=flow, minlength=n)
-                - np.bincount(j, weights=flow, minlength=n))
-
-    b = (np.bincount(i, weights=w, minlength=n)
-         - np.bincount(j, weights=w, minlength=n))
+    b = H.node_sums(H.values)
     b_norm = np.linalg.norm(b)
     x = np.zeros(n)
     if b_norm == 0.0:
@@ -99,7 +90,7 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
         rs = float(r @ r)
         converged = False
         for _ in range(max_iter):
-            Ap = laplacian(p)
+            Ap = H.node_sums(H.offsets(p))  # the graph Laplacian B^T B applied to p
             alpha = rs / float(p @ Ap)
             x += alpha * p
             r -= alpha * Ap

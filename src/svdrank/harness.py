@@ -10,6 +10,9 @@ abort the sweep.
 
 Timing columns are kept out of the CSV unless explicitly requested, since
 wall-clock values would break byte-level reproducibility.
+
+Ingestion parses and checks lines, then leaves the edge-list layout to
+``SkewSparseMatrix.from_pairs``; pruning uses its ``restrict``.
 """
 
 from __future__ import annotations
@@ -345,7 +348,7 @@ def _run_cell_star(args):
     return _run_cell(*args)
 
 
-def ingest_edge_list(path: str, fmt: str = "csv_triples", one_indexed: bool = False,
+def ingest_edge_list(path: str, one_indexed: bool = False,
                      n: int | None = None) -> MeasurementSet:
     """Read rows ``i,j,value`` into a measurement set.
 
@@ -354,10 +357,7 @@ def ingest_edge_list(path: str, fmt: str = "csv_triples", one_indexed: bool = Fa
     matches accumulate point differences. Self-loops are rejected. The item
     count is inferred from the largest index unless given.
     """
-    if fmt != "csv_triples":
-        raise ConfigError(f"unknown edge-list format {fmt!r}")
-    totals: dict[tuple[int, int], float] = {}
-    max_idx = -1
+    ii, jj, vv = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
             if not raw or (len(raw) == 1 and not raw[0].strip()):
@@ -379,19 +379,16 @@ def ingest_edge_list(path: str, fmt: str = "csv_triples", one_indexed: bool = Fa
                 raise SelfLoop(f"self-loop on node {i}", lineno)
             if not math.isfinite(value):
                 raise ParseError("non-finite value", lineno)
-            key, signed = ((i, j), value) if i < j else ((j, i), -value)
-            totals[key] = totals.get(key, 0.0) + signed
-            max_idx = max(max_idx, i, j)
+            ii.append(i)
+            jj.append(j)
+            vv.append(value)
+    max_idx = max(max(ii), max(jj)) if ii else -1
     size = n if n is not None else max_idx + 1
     if size < 2:
         raise ConfigError("edge list defines fewer than 2 nodes")
     if max_idx >= size:
         raise ConfigError(f"index {max_idx} out of range for n={size}")
-    keys = sorted(totals)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    values = np.array([totals[k] for k in keys], dtype=np.float64)
-    return MeasurementSet(n=size, rows=rows, cols=cols, values=values)
+    return MeasurementSet.from_pairs(size, ii, jj, vv)
 
 
 def prune_and_restrict(m: MeasurementSet, min_degree: int = 0) -> tuple[MeasurementSet, np.ndarray]:
@@ -400,35 +397,22 @@ def prune_and_restrict(m: MeasurementSet, min_degree: int = 0) -> tuple[Measurem
     Returns the reindexed measurement set and the array mapping new index to
     original node id.
     """
-    rows, cols, values = m.rows, m.cols, m.values
-    if min_degree > 0:
-        deg = (np.bincount(rows, minlength=m.n) + np.bincount(cols, minlength=m.n))
-        keep_node = deg >= min_degree
-        dropped = int(np.count_nonzero(~keep_node))
-        if dropped:
-            log.warning("pruning %d nodes with degree < %d", dropped, min_degree)
-        keep_edge = keep_node[rows] & keep_node[cols]
-        rows, cols, values = rows[keep_edge], cols[keep_edge], values[keep_edge]
-    else:
-        keep_node = np.ones(m.n, dtype=bool)
-    labels = component_labels(m.n, rows, cols)
-    labels[~keep_node] = -1
-    kept_labels = labels[keep_node]
-    if kept_labels.size == 0:
+    degree = np.bincount(m.rows, minlength=m.n) + np.bincount(m.cols, minlength=m.n)
+    keep = degree >= min_degree
+    dropped = int(np.count_nonzero(~keep))
+    if dropped:
+        log.warning("pruning %d nodes with degree < %d", dropped, min_degree)
+    if not keep.any():
         raise ConfigError("no nodes survive pruning")
-    counts = np.bincount(kept_labels)
+    kept = m.restrict(keep)
+    labels = component_labels(kept)
+    counts = np.bincount(labels)
     main = int(np.argmax(counts))
-    if counts[main] < kept_labels.size:
+    if counts[main] < kept.n:
         log.warning("graph disconnected after pruning; keeping largest component "
-                    "(%d of %d nodes)", counts[main], int(kept_labels.size))
-    node_keep = labels == main
-    mapping = np.flatnonzero(node_keep)
-    new_index = np.full(m.n, -1, dtype=np.int64)
-    new_index[mapping] = np.arange(mapping.size)
-    keep_edge = node_keep[rows] & node_keep[cols]
-    return (MeasurementSet(n=int(mapping.size), rows=new_index[rows[keep_edge]],
-                           cols=new_index[cols[keep_edge]], values=values[keep_edge]),
-            mapping)
+                    "(%d of %d nodes)", counts[main], kept.n)
+    largest = labels == main
+    return kept.restrict(largest), np.flatnonzero(keep)[largest]
 
 
 def evaluate_real(m: MeasurementSet, algorithms: tuple[str, ...] = ALGORITHMS,

@@ -107,19 +107,12 @@ def count_upsets(R: SkewSparseMatrix, s: np.ndarray) -> int:
     A pair i < j is an upset when sign(R_ij * (s_i - s_j)) = -1; pairs where
     either factor is exactly zero contribute nothing.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (R.n,):
-        raise DimensionMismatch("score vector length does not match matrix")
-    offsets = s[R.rows] - s[R.cols]
-    return int(np.count_nonzero(np.sign(R.values) * np.sign(offsets) == -1.0))
+    return int(np.count_nonzero(np.sign(R.values) * np.sign(R.offsets(s)) == -1.0))
 
 
 def weighted_upsets(R: SkewSparseMatrix, s: np.ndarray) -> float:
     """Sum of |R_ij - (s_i - s_j)| over observed pairs i < j."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (R.n,):
-        raise DimensionMismatch("score vector length does not match matrix")
-    return float(np.abs(R.values - (s[R.rows] - s[R.cols])).sum())
+    return float(np.abs(R.values - R.offsets(s)).sum())
 
 
 def max_displacement(pi: np.ndarray, pi_hat: np.ndarray) -> int:

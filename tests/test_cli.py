@@ -1,0 +1,101 @@
+"""``svdrank rank`` end to end: output format, pruning options and exit codes."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from svdrank.cli import main
+from svdrank.harness import ingest_edge_list, prune_and_restrict
+from svdrank.metrics import count_upsets
+
+SCORES = np.array([3.1, 0.4, 2.2, 5.0, 1.7, 4.3, 0.9, 2.8])
+
+
+def edge_rows(shift: int = 0) -> list[str]:
+    """Rows over nodes 0..7 plus a separate pair {10, 11}; nodes 8 and 9 never appear.
+
+    Node 7 hangs on node 0 alone, so ``--min-degree 2`` drops it with the pair.
+    """
+    rows = []
+    for i in range(7):
+        for j in range(i + 1, 7):
+            d = float(SCORES[i] - SCORES[j])
+            if (i + j) % 3 == 0:
+                rows.append((j, i, -d))  # reversed orientation
+            elif (i + j) % 3 == 1:
+                rows += [(i, j, 0.25 * d), (j, i, -0.75 * d)]  # repeated pair
+            else:
+                rows.append((i, j, d))
+    rows += [(7, 0, float(SCORES[7] - SCORES[0])), (10, 11, 1.5), (11, 10, -0.5)]
+    return [f"{i + shift},{j + shift},{v!r}" for i, j, v in rows]
+
+
+@pytest.fixture
+def edges(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("\n".join(edge_rows()) + "\n")
+    return path
+
+
+def rank(capsys, *argv):
+    code = main(["rank", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def parse(out: str):
+    header, columns, *body = out.splitlines()
+    assert header.startswith("# method=") and columns == "position,item,score"
+    fields = dict(kv.split("=", 1) for kv in header[2:].split())
+    table = np.array([[float(x) for x in line.split(",")] for line in body])
+    return fields, table[:, 0].astype(int), table[:, 1].astype(int), table[:, 2]
+
+
+@pytest.mark.parametrize("algorithm", ["svd_rs", "svd_nrs", "rowsum", "least_squares"])
+def test_rank_body_and_upsets_header(capsys, edges, algorithm):
+    code, out, _ = rank(capsys, "--input", str(edges), "--algorithm", algorithm)
+    assert code == 0
+    fields, positions, items, scores = parse(out)
+    assert fields["method"] == algorithm and fields["n"] == "8"
+    assert list(positions) == list(range(8))
+    assert sorted(items) == list(range(8))
+    pruned, mapping = prune_and_restrict(ingest_edge_list(str(edges)))
+    estimate = np.empty(pruned.n)
+    estimate[np.searchsorted(mapping, items)] = scores
+    assert int(fields["upsets"]) == count_upsets(pruned, estimate)
+
+
+def test_one_indexed_shifts_ids_and_positions(capsys, edges, tmp_path):
+    shifted = tmp_path / "edges1.csv"
+    shifted.write_text("\n".join(edge_rows(shift=1)) + "\n")
+    _, out0, _ = rank(capsys, "--input", str(edges))
+    code, out1, _ = rank(capsys, "--input", str(shifted), "--one-indexed")
+    assert code == 0
+    fields0, pos0, items0, scores0 = parse(out0)
+    fields1, pos1, items1, scores1 = parse(out1)
+    assert fields1 == fields0
+    assert list(pos1) == list(pos0 + 1) and list(items1) == list(items0 + 1)
+    assert np.array_equal(scores1, scores0)
+
+
+def test_min_degree_drops_pendant_node(capsys, edges):
+    code, out, _ = rank(capsys, "--input", str(edges), "--min-degree", "2")
+    assert code == 0
+    fields, _, items, _ = parse(out)
+    assert fields["n"] == "7" and sorted(items) == list(range(7))
+
+
+def test_exit_codes(capsys, edges, tmp_path):
+    loop = tmp_path / "loop.csv"
+    loop.write_text("0,1,2\n1,2,1\n2,2,4\n")
+    code, out, err = rank(capsys, "--input", str(loop))
+    assert code == 3 and out == "" and "line 3" in err
+    code, _, err = rank(capsys, "--input", str(tmp_path / "missing.csv"))
+    assert code == 3 and "input error" in err
+    code, _, err = rank(capsys, "--input", str(edges), "--min-degree", "100")
+    assert code == 2 and "no nodes survive pruning" in err
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0,1,0\n")
+    code, _, err = rank(capsys, "--input", str(zero))
+    assert code == 4 and err.startswith("DegenerateSpectrum")

@@ -14,7 +14,7 @@ from svdrank.linalg import (
     LANCZOS_BASIS,
     SkewSparseMatrix,
     SpectralPair,
-    component_count,
+    component_labels,
     matvec,
     orthonormal_complement_in_span,
     project_onto_span,
@@ -314,8 +314,109 @@ class TestOrthonormalComplement:
             orthonormal_complement_in_span(np.zeros(7), basis)
 
 
-def test_component_count():
-    rows = np.array([0, 2])
-    cols = np.array([1, 3])
-    assert component_count(5, rows, cols) == 3
-    assert component_count(2, np.array([0]), np.array([1])) == 1
+def test_component_labels():
+    H = SkewSparseMatrix(5, np.array([0, 2]), np.array([1, 3]), np.ones(2))
+    assert list(component_labels(H)) == [0, 0, 1, 1, 2]
+    assert not H.is_connected
+    H = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.ones(1))
+    assert list(component_labels(H)) == [0, 0]
+    assert H.is_connected
+
+
+def _graph(n, i, j):
+    """Matrix with one unit entry per edge (i[k], j[k]), either orientation, repeats folded."""
+    return SkewSparseMatrix.from_pairs(n, i, j, np.ones(len(i)))
+
+
+class TestComponentLabelsOracle:
+    """Labels equal scipy's connected_components, which numbers by smallest node too."""
+
+    @staticmethod
+    def check(H):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        graph = coo_matrix((np.ones(H.num_entries), (H.rows, H.cols)), shape=(H.n, H.n))
+        _, expected = connected_components(graph, directed=False)
+        assert np.array_equal(component_labels(H), expected)
+
+    def test_path_and_shuffled_path(self, rng):
+        n = 500
+        self.check(_graph(n, np.arange(n - 1), np.arange(1, n)))
+        perm = rng.permutation(n)
+        self.check(_graph(n, perm[:-1], perm[1:]))
+
+    def test_star(self, rng):
+        for center in (0, 7, 99):
+            leaves = np.delete(np.arange(100), center)
+            self.check(_graph(100, np.full(99, center), rng.permutation(leaves)))
+
+    def test_isolated_nodes_and_empty(self):
+        self.check(_graph(6, [4, 1], [1, 2]))
+        for n in (1, 2, 9):
+            self.check(_graph(n, [], []))
+
+    def test_random_sparse(self, rng):
+        for n, m in ((50, 20), (200, 150), (1000, 600), (1000, 3000)):
+            i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+            self.check(_graph(n, i[i != j], j[i != j]))
+
+
+class TestLayoutMethods:
+    """offsets, node_sums and restrict against a dense oracle built by to_dense()."""
+
+    def test_node_sums_of_values_are_row_sums(self, rng):
+        for _ in range(10):
+            H = random_sparse(15, 0.4, rng)
+            assert np.allclose(H.node_sums(H.values), H.to_dense().sum(axis=1), atol=1e-12)
+
+    def test_node_sums_of_offsets_is_laplacian(self, rng):
+        for _ in range(10):
+            H = random_sparse(15, 0.4, rng)
+            A = (H.to_dense() != 0).astype(float)
+            x = rng.standard_normal(15)
+            assert np.allclose(H.node_sums(H.offsets(x)), (np.diag(A.sum(axis=1)) - A) @ x,
+                               atol=1e-12)
+
+    def test_restrict(self, rng):
+        for _ in range(10):
+            H = random_sparse(15, 0.4, rng)
+            keep = rng.random(15) < 0.6
+            keep[3] = True
+            sub = H.restrict(keep)
+            assert sub.n == keep.sum()
+            assert np.array_equal(sub.to_dense(), H.to_dense()[keep][:, keep])
+
+    def test_restrict_keeps_entry_order(self):
+        H = SkewSparseMatrix(4, np.array([2, 0, 1]), np.array([3, 3, 2]), np.array([1.0, 2.0, 3.0]))
+        sub = H.restrict(np.array([False, True, True, True]))
+        assert list(sub.rows) == [1, 0] and list(sub.cols) == [2, 1]
+        assert list(sub.values) == [1.0, 3.0]
+
+    def test_length_checks(self):
+        H = SkewSparseMatrix(3, np.array([0]), np.array([1]), np.array([1.0]))
+        with pytest.raises(DimensionMismatch):
+            H.offsets(np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            H.restrict(np.ones(2, dtype=bool))
+
+    def test_from_pairs_matches_dict_fold(self, rng):
+        for n, m in ((5, 40), (30, 200), (300, 1000)):
+            i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+            i, j = i[i != j], j[i != j]
+            v = rng.standard_normal(i.size) * 10.0 ** rng.integers(-8, 9, i.size)
+            totals = {}
+            for a, b, value in zip(i.tolist(), j.tolist(), v.tolist()):
+                key, signed = ((a, b), value) if a < b else ((b, a), -value)
+                totals[key] = totals.get(key, 0.0) + signed
+            keys = sorted(totals)
+            H = SkewSparseMatrix.from_pairs(n, i, j, v)
+            assert H.n == n
+            assert H.rows.tolist() == [k[0] for k in keys]
+            assert H.cols.tolist() == [k[1] for k in keys]
+            assert H.values.tobytes() == np.array([totals[k] for k in keys]).tobytes()
+
+    def test_from_pairs_rejects_bad_pairs(self):
+        for i, j in ((0, 3), (0, 5), (-1, 2), (1, 1)):  # (0, 5) would encode as (1, 2)
+            with pytest.raises(InvalidParam):
+                SkewSparseMatrix.from_pairs(3, [i], [j], [1.0])
