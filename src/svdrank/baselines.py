@@ -17,6 +17,16 @@ threshold follows a geometric schedule from a spectral-scale start down to
 a small floor, which reproduces the equality-constrained behaviour on clean
 data; the constrained noisy formulation (with an explicit residual radius)
 is intentionally not exposed.
+
+The soft-thresholding forms only the singular triplets above the threshold
+(soft-impute, Mazumder, Hastie & Tibshirani 2010): a block Krylov range
+finder (Halko, Martinsson & Tropp 2011), warm-started from the previous
+iterate's right singular vectors, followed by a Rayleigh-Ritz step. A
+result is kept only when it shows a singular value at or below the
+threshold and every kept triplet has a residual of at most ``SVT_TOL``
+times the largest; otherwise the block doubles, and a basis that would span
+R^n becomes the full dense SVD. The iterate itself stays a dense n x n
+array.
 """
 
 from __future__ import annotations
@@ -42,6 +52,10 @@ from .errors import (
 )
 from .linalg import SkewSparseMatrix
 from .model import ScoreVector
+
+SVT_TOL = 1e-12  # kept triplets need ||Y v - sigma u|| <= SVT_TOL * sigma_1
+SVT_EXTRA = 4    # Gaussian columns beside the warm start
+SVT_BLOCKS = 3   # Krylov blocks in the basis: Y S, (Y Y^T) Y S, (Y Y^T)^2 Y S
 
 
 def _tau_or_nan(H: SkewSparseMatrix, scores: np.ndarray) -> float:
@@ -144,6 +158,11 @@ class CompletionConfig:
         if self.n_limit < 2:
             raise InvalidParam("n_limit must be >= 2")
 
+    def check_size(self, n: int) -> None:
+        """Raise InvalidParam when an n-node completion would pass ``n_limit``."""
+        if n > self.n_limit:
+            raise InvalidParam(f"dense completion limited to n <= {self.n_limit}")
+
 
 @dataclass(frozen=True)
 class CompletionResult:
@@ -157,17 +176,52 @@ class CompletionResult:
         return SkewSparseMatrix.from_dense(self.matrix)
 
 
+def _soft_threshold(Y: np.ndarray, lam: float,
+                    V0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-threshold the singular values of Y at ``lam``.
+
+    Returns ``(U * (s - lam), V)`` over the singular triplets (u, s, v) of Y
+    with s > lam, so that the thresholded matrix is ``(U * (s - lam)) @ V.T``.
+    The block Krylov basis starts from ``V0`` (the previous kept right
+    singular vectors) plus Gaussian columns from a fixed seed, an even number
+    in all, since a skew-symmetric Y has its singular values in pairs.
+    """
+    n = Y.shape[0]
+    rng = np.random.default_rng(0)
+    b = V0.shape[1] + SVT_EXTRA + V0.shape[1] % 2
+    while SVT_BLOCKS * b < n:
+        start = np.hstack([V0, rng.standard_normal((n, b - V0.shape[1]))])
+        Q = np.linalg.qr(Y @ start)[0]
+        for _ in range(SVT_BLOCKS - 1):
+            Z = Y @ (Y.T @ Q[:, -b:])
+            Q = np.hstack([Q, np.linalg.qr(Z - Q @ (Q.T @ Z))[0]])
+        # One pass of projection leaves Q orthonormal only while the blocks
+        # are independent; Householder QR keeps it so when they are not.
+        Q = np.linalg.qr(Q)[0]
+        Ub, s, Vt = np.linalg.svd(Q.T @ Y, full_matrices=False)
+        k = int(np.count_nonzero(s > lam))
+        U, V = Q @ Ub[:, :k], Vt[:k].T
+        residual = np.linalg.norm(Y @ V - U * s[:k], axis=0)
+        if k < s.size and np.all(residual <= SVT_TOL * s[0]):
+            return U * (s[:k] - lam), V
+        b *= 2
+    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    k = int(np.count_nonzero(s > lam))
+    return U[:, :k] * (s[:k] - lam), Vt[:k].T
+
+
 def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfig()) -> CompletionResult:
     """Fill the unobserved offsets by soft-thresholded proximal iteration.
 
-    Dense solver; refuses n beyond ``cfg.n_limit``. Returns the
+    Each iteration forms only the singular triplets above the current
+    threshold (see the module docstring); the iterate itself is a dense
+    n x n array, so n beyond ``cfg.n_limit`` is refused. Returns the
     skew-symmetrized estimate (X - X^T) / 2 together with convergence
     diagnostics; an empty observation set yields the zero matrix flagged as
     not converged.
     """
     n = m.n
-    if n > cfg.n_limit:
-        raise InvalidParam(f"dense completion limited to n <= {cfg.n_limit}")
+    cfg.check_size(n)
     if m.m == 0:
         return CompletionResult(matrix=np.zeros((n, n)), converged=False,
                                 iterations=0, rel_change=math.inf, effective_rank=0)
@@ -183,6 +237,7 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
 
     X = np.zeros((n, n))
     X_prev = X
+    V = np.zeros((n, 0))
     t_momentum = 1.0
     rel = math.inf
     rank = 0
@@ -193,10 +248,9 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
         t_momentum = t_next
         Y[obs_i, obs_j] -= cfg.step * (Y[obs_i, obs_j] - obs_v)
         np.fill_diagonal(Y, 0.0)
-        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-        s = np.maximum(s - lam, 0.0)
-        rank = int(np.count_nonzero(s))
-        X_new = (U[:, :rank] * s[:rank]) @ Vt[:rank]
+        US, V = _soft_threshold(Y, lam, V)
+        rank = V.shape[1]
+        X_new = US @ V.T
         np.fill_diagonal(X_new, 0.0)
         rel = np.linalg.norm(X_new - X, "fro") / max(np.linalg.norm(X, "fro"), 1.0)
         X_prev, X = X, X_new

@@ -98,8 +98,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_rank(args) -> int:
     mset = ingest_edge_list(args.input, one_indexed=args.one_indexed, n=args.n)
     pruned, mapping = prune_and_restrict(mset, min_degree=args.min_degree)
-    run = complete_and_rank(pruned, (args.algorithm,),
-                            CompletionConfig() if args.completion else None, args.seed)
+    completion = CompletionConfig() if args.completion else None
+    if completion is not None:
+        completion.check_size(pruned.n)  # complete_and_rank would rank before reporting it
+    run = complete_and_rank(pruned, (args.algorithm,), completion, args.seed)
     [(_, result, _)] = run.results
     for outcome in (run.completion, result):  # a completion error is reported first
         if isinstance(outcome, SvdRankError):

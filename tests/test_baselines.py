@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from svdrank.algorithms import ranking_from_scores, svd_rs
 from svdrank.baselines import (
+    SVT_BLOCKS,
+    SVT_EXTRA,
     CompletionConfig,
     coherence,
     complete_matrix,
@@ -133,6 +137,68 @@ class TestCompletion:
         mset = MeasurementSet(5, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(InvalidParam):
             complete_matrix(mset, CompletionConfig(n_limit=4))
+
+
+def dense_complete(m, cfg=CompletionConfig()):
+    """Reference completion: the proximal loop with one full dense SVD per iteration."""
+    n = m.n
+    obs_i = np.concatenate([m.rows, m.cols])
+    obs_j = np.concatenate([m.cols, m.rows])
+    obs_v = np.concatenate([m.values, -m.values])
+    p_hat = obs_i.size / (n * (n - 1))
+    lam = cfg.threshold
+    if lam is None:
+        lam = 2.5 * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
+        lam = max(lam, np.finfo(float).tiny)
+    floor = cfg.floor if cfg.floor is not None else 1e-9 * lam
+    X = np.zeros((n, n))
+    X_prev = X
+    t_momentum = 1.0
+    for it in range(1, cfg.max_iter + 1):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum ** 2))
+        Y = X + ((t_momentum - 1.0) / t_next) * (X - X_prev)
+        t_momentum = t_next
+        Y[obs_i, obs_j] -= cfg.step * (Y[obs_i, obs_j] - obs_v)
+        np.fill_diagonal(Y, 0.0)
+        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        s = np.maximum(s - lam, 0.0)
+        rank = int(np.count_nonzero(s))
+        X_new = (U[:, :rank] * s[:rank]) @ Vt[:rank]
+        np.fill_diagonal(X_new, 0.0)
+        rel = np.linalg.norm(X_new - X, "fro") / max(np.linalg.norm(X, "fro"), 1.0)
+        X_prev, X = X, X_new
+        if rel <= cfg.tol and lam <= floor * (1 + 1e-12):
+            return 0.5 * (X - X.T), it, True, rank
+        lam = max(lam * cfg.decay, floor)
+    return 0.5 * (X - X.T), it, False, rank
+
+
+class TestCompletionOracle:
+    """``complete_matrix`` against the loop that takes a full SVD every iteration."""
+
+    @pytest.mark.parametrize("n, p, eta, seed", [
+        (60, 0.4, 1.0, 3),   # clean, kept rank 2
+        (60, 0.3, 1.0, 3),   # clean but under-sampled: kept rank past the first block
+        (200, 0.3, 1.0, 1),  # the benchmark's completion size
+        (80, 0.3, 0.7, 5),   # noisy: kept rank reaches the dense limit
+        (2, 1.0, 1.0, 0),
+        (3, 1.0, 1.0, 0),
+        (5, 1.0, 1.0, 0),
+        (5, 1.0, 0.7, 1),
+    ])
+    def test_matches_full_svd(self, n, p, eta, seed):
+        mset = generate_ero(generate_scores("linear", n), EROParams(n=n, p=p, eta=eta, seed=seed))
+        comp = complete_matrix(mset)
+        matrix, iterations, converged, rank = dense_complete(mset)
+        assert np.linalg.norm(comp.matrix - matrix) <= 1e-10 * np.linalg.norm(matrix)
+        assert (comp.iterations, comp.converged, comp.effective_rank) == (iterations, converged, rank)
+        assert np.array_equal(complete_matrix(mset).matrix, comp.matrix)
+
+    def test_noisy_case_reaches_dense_limit(self):
+        n = 80
+        mset = generate_ero(generate_scores("linear", n), EROParams(n=n, p=0.3, eta=0.7, seed=5))
+        rank = complete_matrix(mset).effective_rank
+        assert SVT_BLOCKS * (rank + SVT_EXTRA) >= n  # a basis warm-started from rank columns spans R^n
 
 
 class TestCoherence:

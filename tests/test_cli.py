@@ -1,10 +1,12 @@
-"""``svdrank rank`` end to end: output format, pruning options and exit codes."""
+"""``svdrank rank`` and ``svdrank complete`` end to end: output format, options and exit codes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from svdrank import harness
+from svdrank.baselines import complete_matrix
 from svdrank.cli import main
 from svdrank.harness import ingest_edge_list, prune_and_restrict
 from svdrank.metrics import count_upsets
@@ -99,3 +101,40 @@ def test_exit_codes(capsys, edges, tmp_path):
     zero.write_text("0,1,0\n")
     code, _, err = rank(capsys, "--input", str(zero))
     assert code == 4 and err.startswith("DegenerateSpectrum")
+
+
+def test_completion_size_limit_exits_before_ranking(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "path.csv"
+    path.write_text("".join(f"{i},{i + 1},1.0\n" for i in range(2000)))  # 2001 nodes
+    calls = []
+    run_algorithm = harness._run_algorithm
+    monkeypatch.setattr(harness, "_run_algorithm",
+                        lambda *args: calls.append(args[0]) or run_algorithm(*args))
+    code, out, err = rank(capsys, "--input", str(path), "--completion")
+    assert code == 2 and out == ""
+    assert err == "configuration error: dense completion limited to n <= 2000\n"
+    assert calls == []
+
+
+def test_complete_writes_upper_triangle(capsys, edges):
+    code = main(["complete", "--input", str(edges)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    header, *body = out.splitlines()
+    comp = complete_matrix(ingest_edge_list(str(edges)))
+    n = comp.matrix.shape[0]
+    assert n == 12
+    assert header == (f"# converged={comp.converged} iterations={comp.iterations} "
+                      f"effective_rank={comp.effective_rank}")
+    assert comp.converged and comp.effective_rank >= 2
+    iu, ju = np.triu_indices(n, 1)
+    assert len(body) == n * (n - 1) // 2
+    for line, i, j in zip(body, iu, ju):
+        assert line == f"{i},{j},{format(comp.matrix[i, j], '.12g')}"
+
+
+def test_complete_max_iter_reports_not_converged(capsys, edges):
+    code = main(["complete", "--input", str(edges), "--max-iter", "1"])
+    header = capsys.readouterr().out.splitlines()[0]
+    assert code == 0
+    assert header.startswith("# converged=False iterations=1 ")
