@@ -39,7 +39,6 @@ from .harness import (
 from .linalg import (
     SkewSparseMatrix,
     SpectralPair,
-    matvec,
     orthonormal_complement_in_span,
     project_onto_span,
     top2_svd,
@@ -54,7 +53,6 @@ from .metrics import (
 )
 from .model import (
     EROParams,
-    MeasurementSet,
     ScoreVector,
     build_H,
     generate_ero,

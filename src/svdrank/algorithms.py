@@ -125,9 +125,6 @@ def reconcile_sign(s: np.ndarray, H: SkewSparseMatrix) -> int:
     return -1 if up_neg < up_pos else 1
 
 
-abs_degrees = SkewSparseMatrix.abs_row_sums  # abs_degrees(H) == H.abs_row_sums()
-
-
 def _scale_and_package(H: SkewSparseMatrix, s: np.ndarray, u_tilde: np.ndarray,
                        pair: SpectralPair, method: str,
                        scale_from: SkewSparseMatrix | None) -> RankingResult:

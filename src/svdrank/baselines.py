@@ -222,7 +222,7 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
     """
     n = m.n
     cfg.check_size(n)
-    if m.m == 0:
+    if m.num_entries == 0:
         return CompletionResult(matrix=np.zeros((n, n)), converged=False,
                                 iterations=0, rel_change=math.inf, effective_rank=0)
     obs_i = np.concatenate([m.rows, m.cols])

@@ -51,7 +51,7 @@ from .metrics import (
     rmse,
     weighted_upsets,
 )
-from .model import EROParams, MeasurementSet, ScoreVector, build_H, generate_ero, generate_scores
+from .model import EROParams, ScoreVector, build_H, generate_ero, generate_scores
 from .theory import BoundParams, ModelStats, l2_bound_svdrs, l2_precondition_holds, \
     l2_bound_svdnrs, nrs_preconditions_hold, nrs_stats, u2_true, u2_true_nrs
 
@@ -184,7 +184,7 @@ class RankRun:
     results: list[tuple[str, RankingResult | SvdRankError, float]]
 
 
-def complete_and_rank(m: MeasurementSet, algorithms: tuple[str, ...],
+def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
                       completion: CompletionConfig | None, seed: int) -> RankRun:
     """Run each algorithm on a measurement set, after completing it if asked.
 
@@ -349,7 +349,7 @@ def _run_cell_star(args):
 
 
 def ingest_edge_list(path: str, one_indexed: bool = False,
-                     n: int | None = None) -> MeasurementSet:
+                     n: int | None = None) -> SkewSparseMatrix:
     """Read rows ``i,j,value`` into a measurement set.
 
     Reversed orientations fold antisymmetrically ((j, i, v) counts as
@@ -388,10 +388,11 @@ def ingest_edge_list(path: str, one_indexed: bool = False,
         raise ConfigError("edge list defines fewer than 2 nodes")
     if max_idx >= size:
         raise ConfigError(f"index {max_idx} out of range for n={size}")
-    return MeasurementSet.from_pairs(size, ii, jj, vv)
+    return SkewSparseMatrix.from_pairs(size, ii, jj, vv)
 
 
-def prune_and_restrict(m: MeasurementSet, min_degree: int = 0) -> tuple[MeasurementSet, np.ndarray]:
+def prune_and_restrict(m: SkewSparseMatrix,
+                       min_degree: int = 0) -> tuple[SkewSparseMatrix, np.ndarray]:
     """Drop low-degree nodes, then keep the largest connected component.
 
     Returns the reindexed measurement set and the array mapping new index to
@@ -415,7 +416,7 @@ def prune_and_restrict(m: MeasurementSet, min_degree: int = 0) -> tuple[Measurem
     return kept.restrict(largest), np.flatnonzero(keep)[largest]
 
 
-def evaluate_real(m: MeasurementSet, algorithms: tuple[str, ...] = ALGORITHMS,
+def evaluate_real(m: SkewSparseMatrix, algorithms: tuple[str, ...] = ALGORITHMS,
                   completion: CompletionConfig | None = None, min_degree: int = 0,
                   seed: int = 0) -> list[ResultRow]:
     """Run algorithms on real measurements and report ground-truth-free metrics.

@@ -4,6 +4,14 @@ The measurement matrix is skew-symmetric, so each unordered pair is stored
 exactly once (row < col) and the mirrored entry is implied by negation.
 Only :class:`SkewSparseMatrix` knows this layout; other modules use its
 ``from_pairs``, ``offsets``, ``node_sums`` and ``restrict``.
+
+Products with H run over the edge list (two gathers and two bincounts over
+the m entries) unless the graph is dense: when the n x n float64 array is no
+larger than the edge list itself (8 n^2 <= 24 m bytes, i.e. 3 m >= n^2) the
+matrix builds that array on its first product, keeps it, and multiplies with
+BLAS. Memory stays O(m) either way, so no kernel here needs O(n^2) memory on
+a sparse graph.
+
 Because H^T = -H, the Gram operator H H^T equals -H^2 and is symmetric
 positive semidefinite; every singular value of a skew-symmetric matrix has
 even multiplicity, so the dominant singular pair is always degenerate.
@@ -40,6 +48,11 @@ class SkewSparseMatrix:
     twice and every value is finite; the value at (cols[k], rows[k]) is
     ``-values[k]`` and the diagonal is zero. The arrays are validated once
     here, made read-only and kept in the order given.
+
+    ``matvec`` on a dense graph (3 m >= n^2, where the n x n array takes no
+    more bytes than the three m-entry arrays) multiplies with a read-only
+    dense copy built on the first product and kept with the matrix, so the
+    memory stays O(m); on a sparser graph it runs over the edge list.
     """
 
     n: int
@@ -75,8 +88,6 @@ class SkewSparseMatrix:
     def num_entries(self) -> int:
         return int(self.rows.size)
 
-    m = num_entries  # edge count under its measurement-set name
-
     @property
     def max_abs(self) -> float:
         """Largest entry magnitude (the max-norm of the matrix)."""
@@ -85,6 +96,15 @@ class SkewSparseMatrix:
     @cached_property
     def is_connected(self) -> bool:
         return bool(component_labels(self).max() == 0)
+
+    @cached_property
+    def _dense(self) -> np.ndarray | None:
+        """Read-only ``to_dense()`` when it is no larger than the edge list, else None."""
+        if 3 * self.num_entries < self.n * self.n:
+            return None
+        dense = self.to_dense()
+        dense.setflags(write=False)
+        return dense
 
     def offsets(self, s: np.ndarray) -> np.ndarray:
         """Per-entry score offsets s[rows[k]] - s[cols[k]]."""
@@ -130,6 +150,8 @@ class SkewSparseMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected vector of length {self.n}, got {x.shape}")
+        if self._dense is not None:
+            return self._dense @ x
         if not self.rows.size:
             return np.zeros(self.n)
         upper = self.values * x[self.cols]
@@ -203,9 +225,6 @@ class SpectralPair:
     def basis(self) -> np.ndarray:
         """n x 2 matrix with the two vectors as columns."""
         return np.column_stack([self.u1, self.u2])
-
-
-matvec = SkewSparseMatrix.matvec  # matvec(H, x) == H.matvec(x)
 
 
 # Block Lanczos sizes for top2_svd: the basis holds at most LANCZOS_BASIS
@@ -376,10 +395,7 @@ def component_labels(H: SkewSparseMatrix) -> np.ndarray:
         a, b = parent[rows], parent[cols]
         apart = a != b
         rows, cols, a, b = rows[apart], cols[apart], a[apart], b[apart]
-        # Both orientations in one pass: each root takes its smallest neighbour
-        # root. Freeing these 2m-entry arrays also raises glibc's trim threshold,
-        # so later matvecs reuse their m-entry temporaries instead of refaulting
-        # them (dense n=1000 cell: 45% slower with m-entry arrays only).
+        # Both orientations in one pass: each root takes its smallest neighbour root.
         np.minimum.at(parent, np.concatenate([a, b]), np.concatenate([b, a]))
         while True:
             grand = parent[parent]

@@ -75,10 +75,6 @@ class EROParams:
         return 1.0 - self.eta
 
 
-# The edge list of raw pairwise measurements is the measurement matrix type.
-MeasurementSet = SkewSparseMatrix
-
-
 def generate_scores(kind: str, n: int, seed: int = 0, a: float = 0.5,
                     b: float = 1.0) -> ScoreVector:
     """Draw a score vector: 'uniform01', 'gamma' (shape a, scale b) or 'linear'.
@@ -102,7 +98,7 @@ def generate_scores(kind: str, n: int, seed: int = 0, a: float = 0.5,
     return ScoreVector(values)
 
 
-def generate_ero(r: ScoreVector, params: EROParams) -> MeasurementSet:
+def generate_ero(r: ScoreVector, params: EROParams) -> SkewSparseMatrix:
     """Sample one measurement set from the outliers model.
 
     Each unordered pair is present with probability p; a present pair
@@ -121,10 +117,10 @@ def generate_ero(r: ScoreVector, params: EROParams) -> MeasurementSet:
     outliers = int(np.count_nonzero(~inlier))
     if outliers:
         values[~inlier] = rng.uniform(-r.M, r.M, size=outliers)
-    return MeasurementSet(n=n, rows=i, cols=j, values=values)
+    return SkewSparseMatrix(n=n, rows=i, cols=j, values=values)
 
 
-def build_H(m: MeasurementSet) -> SkewSparseMatrix:
+def build_H(m: SkewSparseMatrix) -> SkewSparseMatrix:
     """Return the skew-symmetric measurement matrix of an edge list.
 
     The measurement set already is that matrix, so it is returned as is,

@@ -29,7 +29,7 @@ from .baselines import (
 from .errors import DegenerateSpectrum, GraphDisconnectedWarning
 from .linalg import SkewSparseMatrix, top2_svd
 from .metrics import count_upsets, kendall_distance, max_displacement, rmse
-from .model import EROParams, MeasurementSet, build_H, generate_ero, generate_scores
+from .model import EROParams, build_H, generate_ero, generate_scores
 from .theory import delta_spectral, BoundParams, ModelStats
 
 
@@ -62,6 +62,13 @@ def _check_matvec():
     H = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.array([3.0]))
     out = H.matvec(np.array([1.0, 0.0]))
     assert np.allclose(out, [0.0, -3.0]), out
+    # The complete 3-node graph (3 m >= n^2) multiplies with its dense array.
+    r = np.array([1.0, 2.0, 4.0])
+    H = _noiseless(r)
+    x = np.array([1.0, -2.0, 0.5])
+    out = H.matvec(x)
+    assert vars(H).get("_dense") is not None  # built by the product
+    assert np.allclose(out, np.subtract.outer(r, r) @ x), out
 
 
 def _check_top2_identity():
@@ -149,12 +156,12 @@ def _check_upsets():
 def _check_ero():
     scores = generate_scores("linear", 3)
     mset = generate_ero(scores, EROParams(n=3, p=1.0, eta=1.0, seed=1))
-    assert mset.m == 3
+    assert mset.num_entries == 3
     H = build_H(mset)
     dense = H.to_dense()
     r = scores.values
     assert np.allclose(dense, np.outer(r, np.ones(3)) - np.outer(np.ones(3), r))
-    empty = MeasurementSet(3, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+    empty = SkewSparseMatrix(3, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         build_H(empty)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from svdrank.algorithms import (
-    abs_degrees,
     center,
     compute_ratio_entries,
     ranking_from_scores,
@@ -202,7 +201,7 @@ class TestSvdRs:
 class TestSvdNrs:
     def test_degree_diagonal(self):
         r = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(abs_degrees(noiseless_matrix(r)), [3.0, 2.0, 3.0])
+        assert np.allclose(noiseless_matrix(r).abs_row_sums(), [3.0, 2.0, 3.0])
 
     def test_matches_svd_rs_noiseless(self):
         r = np.array([2.0, 5.0, 1.0, 4.0])

@@ -18,7 +18,7 @@ from svdrank.baselines import (
 from svdrank.errors import DegenerateScores, GraphDisconnected, InvalidParam, NotConverged
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
-from svdrank.model import EROParams, MeasurementSet, ScoreVector, generate_ero, generate_scores
+from svdrank.model import EROParams, ScoreVector, generate_ero, generate_scores
 
 from conftest import noiseless_matrix
 
@@ -107,8 +107,8 @@ class TestCompletion:
         assert np.linalg.norm(comp.matrix - C) <= 1e-8 * np.linalg.norm(C)
 
     def test_empty_observations(self):
-        mset = MeasurementSet(6, np.array([], dtype=int), np.array([], dtype=int),
-                              np.array([]))
+        mset = SkewSparseMatrix(6, np.array([], dtype=int), np.array([], dtype=int),
+                                np.array([]))
         comp = complete_matrix(mset)
         assert not comp.converged
         assert np.array_equal(comp.matrix, np.zeros((6, 6)))
@@ -134,7 +134,7 @@ class TestCompletion:
         assert kendall_distance(truth, res.permutation) == 0
 
     def test_size_limit(self):
-        mset = MeasurementSet(5, np.array([0]), np.array([1]), np.array([1.0]))
+        mset = SkewSparseMatrix(5, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(InvalidParam):
             complete_matrix(mset, CompletionConfig(n_limit=4))
 

@@ -12,7 +12,8 @@ from svdrank.harness import (
     run_sweep,
     write_csv,
 )
-from svdrank.model import EROParams, MeasurementSet, generate_ero, generate_scores
+from svdrank.linalg import SkewSparseMatrix
+from svdrank.model import EROParams, generate_ero, generate_scores
 
 BASE_CONFIG = """
 # minimal sweep
@@ -169,7 +170,7 @@ class TestIngest:
         path = tmp_path / "edges.csv"
         path.write_text("0,1,2\n1,0,-3\n")
         mset = ingest_edge_list(str(path))
-        assert mset.m == 1
+        assert mset.num_entries == 1
         assert mset.rows[0] == 0 and mset.cols[0] == 1
         assert mset.values[0] == pytest.approx(5.0)
 
@@ -185,7 +186,7 @@ class TestIngest:
         path = tmp_path / "edges.csv"
         path.write_text("")
         mset = ingest_edge_list(str(path), n=3)
-        assert mset.m == 0
+        assert mset.num_entries == 0
         assert not mset.is_connected
 
     def test_self_loop_rejected(self, tmp_path):
@@ -237,7 +238,7 @@ class TestRealEvaluation:
         rows = np.array([0, 0, 0, 1, 1, 2, 0])
         cols = np.array([1, 2, 3, 2, 3, 3, 4])
         values = np.ones(7)
-        mset = MeasurementSet(5, rows, cols, values)
+        mset = SkewSparseMatrix(5, rows, cols, values)
         pruned, mapping = prune_and_restrict(mset, min_degree=3)
         assert pruned.n == 4
         assert list(mapping) == [0, 1, 2, 3]
@@ -245,7 +246,7 @@ class TestRealEvaluation:
     def test_disconnected_keeps_largest_component(self):
         rows = np.array([0, 1, 3])
         cols = np.array([1, 2, 4])
-        mset = MeasurementSet(5, rows, cols, np.array([1.0, 1.0, 1.0]))
+        mset = SkewSparseMatrix(5, rows, cols, np.array([1.0, 1.0, 1.0]))
         pruned, mapping = prune_and_restrict(mset)
         assert pruned.n == 3
         assert list(mapping) == [0, 1, 2]
@@ -263,7 +264,7 @@ class TestRealEvaluation:
         mset = generate_ero(scores, EROParams(n=40, p=1.0, eta=1.0, seed=5))
         rows = evaluate_real(mset, algorithms=("rowsum",), seed=11)
         rand_row = next(r for r in rows if r.algorithm == "random")
-        frac = rand_row.upsets / mset.m
+        frac = rand_row.upsets / mset.num_entries
         assert 0.35 < frac < 0.65
 
 

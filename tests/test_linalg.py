@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from svdrank.linalg import (
     SkewSparseMatrix,
     SpectralPair,
     component_labels,
-    matvec,
     orthonormal_complement_in_span,
     project_onto_span,
     top2_svd,
@@ -101,11 +102,11 @@ class TestSkewSparseMatrix:
 class TestMatvec:
     def test_empty_matrix_gives_zero(self):
         H = SkewSparseMatrix(4, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
-        assert np.array_equal(matvec(H, np.ones(4)), np.zeros(4))
+        assert np.array_equal(H.matvec(np.ones(4)), np.zeros(4))
 
     def test_antisymmetry_two_nodes(self):
         H = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.array([3.0]))
-        assert np.allclose(matvec(H, np.array([1.0, 0.0])), [0.0, -3.0])
+        assert np.allclose(H.matvec(np.array([1.0, 0.0])), [0.0, -3.0])
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(10):
@@ -116,7 +117,7 @@ class TestMatvec:
     def test_dimension_mismatch(self):
         H = SkewSparseMatrix(3, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(DimensionMismatch):
-            matvec(H, np.ones(4))
+            H.matvec(np.ones(4))
 
     def test_quadratic_form_vanishes(self, rng):
         # skew-symmetry forces x^T H x = 0
@@ -125,6 +126,73 @@ class TestMatvec:
             x = rng.standard_normal(20)
             bound = 1e-10 * (x @ x) * max(H.max_abs, 1.0) * H.n
             assert abs(x @ H.matvec(x)) <= bound
+
+
+def first_pairs(n, m, rng):
+    """Matrix on the first m upper-triangle pairs of n nodes, Gaussian values."""
+    iu, ju = np.triu_indices(n, 1)
+    return SkewSparseMatrix(n, iu[:m], ju[:m], rng.standard_normal(m))
+
+
+def assert_matches_dense(H, rng):
+    """matvec agrees with the dense oracle; returns whether the product built the cache."""
+    x = rng.standard_normal(H.n)
+    expected = H.to_dense() @ x
+    assert np.linalg.norm(H.matvec(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+    return vars(H).get("_dense") is not None
+
+
+class TestDenseOperator:
+    """matvec multiplies with a cached dense array exactly when 3 m >= n^2."""
+
+    @pytest.mark.parametrize("n, m, dense", [(3, 2, False), (3, 3, True), (4, 5, False),
+                                             (4, 6, True), (40, 533, False), (40, 534, True)])
+    def test_matches_oracle_on_both_sides_of_threshold(self, rng, n, m, dense):
+        assert assert_matches_dense(first_pairs(n, m, rng), rng) == dense
+
+    def test_scaled_and_restricted_dense_matrix(self, rng):
+        H = random_sparse(30, 1.0, rng)
+        d = rng.random(30) + 0.5
+        keep = np.ones(30, dtype=bool)
+        keep[[3, 17]] = False
+        for derived in (H.scaled(d), H.restrict(keep)):
+            assert assert_matches_dense(derived, rng)
+
+    def test_empty_matrix(self, rng):
+        for n in (1, 4):
+            H = SkewSparseMatrix(n, np.array([], dtype=int), np.array([], dtype=int),
+                                 np.array([]))
+            assert np.array_equal(H.matvec(rng.standard_normal(n)), np.zeros(n))
+            assert vars(H).get("_dense") is None
+
+    def test_cache_is_read_only_and_to_dense_is_fresh(self, rng):
+        H = random_sparse(10, 1.0, rng)
+        x = rng.standard_normal(10)
+        before = H.matvec(x)
+        cached = H._dense
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 1] = 1.0
+        fresh = H.to_dense()
+        assert fresh.flags.writeable and fresh is not cached
+        fresh[:] = 0.0
+        assert H._dense is cached
+        assert np.array_equal(H.matvec(x), before)
+
+    def test_sparse_matrix_never_allocates_n_squared(self, rng):
+        n = 20_000
+        i, j = rng.integers(0, n, size=(2, 400_000))
+        off = i != j
+        H = SkewSparseMatrix.from_pairs(n, i[off], j[off], rng.standard_normal(int(off.sum())))
+        x = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            H.matvec(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vars(H).get("_dense") is None
+        assert peak < 8 * n * n
 
 
 class TestTop2Svd:

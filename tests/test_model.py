@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from svdrank.errors import GraphDisconnectedWarning, InvalidParam
+from svdrank.linalg import SkewSparseMatrix
 from svdrank.model import (
     EROParams,
-    MeasurementSet,
     ScoreVector,
     build_H,
     generate_ero,
@@ -51,7 +51,7 @@ class TestGenerateEro:
     def test_full_noiseless(self):
         scores = ScoreVector(np.array([1.0, 2.0, 3.0]))
         mset = generate_ero(scores, EROParams(n=3, p=1.0, eta=1.0, seed=0))
-        assert mset.m == 3
+        assert mset.num_entries == 3
         dense = build_H(mset).to_dense()
         r = scores.values
         assert np.allclose(dense, np.outer(r, np.ones(3)) - np.outer(np.ones(3), r))
@@ -59,14 +59,14 @@ class TestGenerateEro:
     def test_p_zero_empty(self):
         scores = generate_scores("uniform01", 10, seed=1)
         mset = generate_ero(scores, EROParams(n=10, p=0.0, eta=0.5, seed=2))
-        assert mset.m == 0
+        assert mset.num_entries == 0
 
     def test_edge_count_concentrates(self):
         n, p = 500, 0.2
         N = n * (n - 1) // 2
         scores = generate_scores("uniform01", n, seed=3)
         mset = generate_ero(scores, EROParams(n=n, p=p, eta=0.8, seed=4))
-        assert abs(mset.m - N * p) < 3 * np.sqrt(N * p * (1 - p))
+        assert abs(mset.num_entries - N * p) < 3 * np.sqrt(N * p * (1 - p))
 
     def test_outlier_values_bounded(self):
         scores = generate_scores("uniform01", 60, seed=7)
@@ -96,19 +96,19 @@ class TestGenerateEro:
 
 class TestBuildH:
     def test_empty_warns_disconnected(self):
-        empty = MeasurementSet(3, np.array([], dtype=int), np.array([], dtype=int),
-                               np.array([]))
+        empty = SkewSparseMatrix(3, np.array([], dtype=int), np.array([], dtype=int),
+                                 np.array([]))
         with pytest.warns(GraphDisconnectedWarning):
             H = build_H(empty)
         assert np.array_equal(H.to_dense(), np.zeros((3, 3)))
 
     def test_single_edge(self):
-        mset = MeasurementSet(2, np.array([0]), np.array([1]), np.array([2.0]))
+        mset = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.array([2.0]))
         dense = build_H(mset).to_dense()
         assert dense[0, 1] == 2.0 and dense[1, 0] == -2.0
 
     def test_connected_no_warning(self, recwarn):
-        mset = MeasurementSet(2, np.array([0]), np.array([1]), np.array([2.0]))
+        mset = SkewSparseMatrix(2, np.array([0]), np.array([1]), np.array([2.0]))
         build_H(mset)
         assert not [w for w in recwarn if issubclass(w.category, GraphDisconnectedWarning)]
 
