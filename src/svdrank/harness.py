@@ -11,8 +11,13 @@ abort the sweep.
 Timing columns are kept out of the CSV unless explicitly requested, since
 wall-clock values would break byte-level reproducibility.
 
-Ingestion parses and checks lines, then leaves the edge-list layout to
-``SkewSparseMatrix.from_pairs``; pruning uses its ``restrict``.
+Ingestion reads the edge list with one ``np.loadtxt`` pass and checks the
+arrays; a file that pass cannot take (comment or whitespace-only lines,
+quoted fields, a warning, a row that fails a check) goes to the line
+parser, which keeps the accepted syntax and the line-numbered errors. Both
+yield index and value arrays, and one tail sizes the matrix and leaves the
+edge-list layout to ``SkewSparseMatrix.from_pairs``. Pruning uses its
+``restrict`` and ``largest_component``, so connectivity is computed once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .errors import (
     SelfLoop,
     SvdRankError,
 )
-from .linalg import SkewSparseMatrix, component_labels
+from .linalg import SkewSparseMatrix
 from .metrics import (
     count_upsets,
     kendall_distance,
@@ -356,6 +361,63 @@ def ingest_edge_list(path: str, one_indexed: bool = False,
     (i, j, -v)) and duplicate pairs are summed, which matches how repeated
     matches accumulate point differences. Self-loops are rejected. The item
     count is inferred from the largest index unless given.
+
+    The file is read in one ``np.loadtxt`` pass; a file that pass cannot
+    accept goes through the line parser, which accepts it or raises the
+    error of its first bad line, with that line's number.
+    """
+    edges = _load_edges(path, one_indexed)
+    if edges is None:
+        edges = _parse_edge_lines(path, one_indexed)
+    i, j, v = edges
+    max_idx = int(max(i.max(), j.max())) if i.size else -1
+    size = n if n is not None else max_idx + 1
+    if size < 2:
+        raise ConfigError("edge list defines fewer than 2 nodes")
+    if max_idx >= size:
+        raise ConfigError(f"index {max_idx} out of range for n={size}")
+    return SkewSparseMatrix.from_pairs(size, i, j, v)
+
+
+_Edges = tuple[np.ndarray, np.ndarray, np.ndarray]  # indices i, j and values v, one per row
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _load_edges(path: str, one_indexed: bool) -> _Edges | None:
+    """Index and value arrays of the edge list, or None if the line parser must read it.
+
+    A row loadtxt accepts here is one the line parser accepts with the same
+    numbers. loadtxt raises on comment and whitespace-only lines, quoted
+    fields and over-long integers; it warns on an empty file and, before
+    numpy 2.0, on a float read as an integer, so a warning counts as a
+    failure too. A failed check or a file that cannot be opened also goes to
+    the line parser, which raises the error with its line number or the
+    error ``open`` gives.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=1,
+                              encoding="utf-8", dtype=_EDGE_ROW)
+    except (OSError, ValueError, Warning):
+        return None
+    i, j, v = rows["i"], rows["j"], rows["v"]
+    lowest = 1 if one_indexed else 0  # checked before the shift, which could wrap
+    if (i < lowest).any() or (j < lowest).any() or (i == j).any() or not np.isfinite(v).all():
+        return None
+    if one_indexed:
+        i, j = i - 1, j - 1
+    return i, j, v
+
+
+def _parse_edge_lines(path: str, one_indexed: bool) -> _Edges:
+    """Index and value arrays of the edge list, read and checked one CSV line at a time.
+
+    Blank, whitespace-only and ``#`` comment lines are skipped, fields may
+    be quoted, and indices and values take Python's ``int`` and ``float``
+    syntax. The first bad line raises ParseError or SelfLoop with its line
+    number.
     """
     ii, jj, vv = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -379,24 +441,21 @@ def ingest_edge_list(path: str, one_indexed: bool = False,
                 raise SelfLoop(f"self-loop on node {i}", lineno)
             if not math.isfinite(value):
                 raise ParseError("non-finite value", lineno)
+            if max(i, j) > _INT64_MAX:
+                raise ParseError("index does not fit in a 64-bit integer", lineno)
             ii.append(i)
             jj.append(j)
             vv.append(value)
-    max_idx = max(max(ii), max(jj)) if ii else -1
-    size = n if n is not None else max_idx + 1
-    if size < 2:
-        raise ConfigError("edge list defines fewer than 2 nodes")
-    if max_idx >= size:
-        raise ConfigError(f"index {max_idx} out of range for n={size}")
-    return SkewSparseMatrix.from_pairs(size, ii, jj, vv)
+    return (np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64),
+            np.array(vv, dtype=np.float64))
 
 
 def prune_and_restrict(m: SkewSparseMatrix,
                        min_degree: int = 0) -> tuple[SkewSparseMatrix, np.ndarray]:
     """Drop low-degree nodes, then keep the largest connected component.
 
-    Returns the reindexed measurement set and the array mapping new index to
-    original node id.
+    Returns the reindexed measurement set, which knows it is connected, and
+    the array mapping new index to original node id.
     """
     degree = np.bincount(m.rows, minlength=m.n) + np.bincount(m.cols, minlength=m.n)
     keep = degree >= min_degree
@@ -405,15 +464,12 @@ def prune_and_restrict(m: SkewSparseMatrix,
         log.warning("pruning %d nodes with degree < %d", dropped, min_degree)
     if not keep.any():
         raise ConfigError("no nodes survive pruning")
-    kept = m.restrict(keep)
-    labels = component_labels(kept)
-    counts = np.bincount(labels)
-    main = int(np.argmax(counts))
-    if counts[main] < kept.n:
+    kept = m.restrict(keep) if dropped else m
+    main, largest = kept.largest_component()
+    if main.n < kept.n:
         log.warning("graph disconnected after pruning; keeping largest component "
-                    "(%d of %d nodes)", counts[main], kept.n)
-    largest = labels == main
-    return kept.restrict(largest), np.flatnonzero(keep)[largest]
+                    "(%d of %d nodes)", main.n, kept.n)
+    return main, np.flatnonzero(keep)[largest]
 
 
 def evaluate_real(m: SkewSparseMatrix, algorithms: tuple[str, ...] = ALGORITHMS,

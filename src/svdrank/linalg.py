@@ -3,7 +3,8 @@
 The measurement matrix is skew-symmetric, so each unordered pair is stored
 exactly once (row < col) and the mirrored entry is implied by negation.
 Only :class:`SkewSparseMatrix` knows this layout; other modules use its
-``from_pairs``, ``offsets``, ``node_sums`` and ``restrict``.
+``from_pairs``, ``offsets``, ``node_sums``, ``restrict`` and
+``largest_component``.
 
 Products with H run over the edge list (two gathers and two bincounts over
 the m entries) unless the graph is dense: when the n x n float64 array is no
@@ -36,6 +37,10 @@ from .errors import (
     NotConverged,
     ZeroProjection,
 )
+
+
+# Largest n with n * n - 1 <= int64 max, so a pair key lo * n + hi cannot overflow.
+_MAX_KEYED_N = 3037000499
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,32 @@ class SkewSparseMatrix:
         return SkewSparseMatrix(int(new_index[-1]) + 1, new_index[self.rows[inside]],
                                 new_index[self.cols[inside]], self.values[inside])
 
+    def largest_component(self) -> tuple["SkewSparseMatrix", np.ndarray]:
+        """The matrix on its largest connected component, and that component's node mask.
+
+        Ties go to the component holding the smallest node. A connected
+        matrix is returned as itself. Either way the result's
+        ``is_connected`` is known from this one labelling and never computed
+        again.
+        """
+        labels = component_labels(self)
+        counts = np.bincount(labels)
+        main = int(np.argmax(counts))
+        largest = labels == main
+        result = self if counts[main] == self.n else self.restrict(largest)
+        result.__dict__["is_connected"] = True  # where cached_property keeps its value
+        return result, largest
+
     @staticmethod
     def from_pairs(n: int, i: np.ndarray, j: np.ndarray, v: np.ndarray) -> "SkewSparseMatrix":
         """Matrix of measurements "i[k] exceeds j[k] by v[k]" in either orientation.
 
         A reversed pair (i > j) counts as (j, i, -v) and a repeated pair sums
-        its values in input order. Entries come out sorted by pair.
+        its values in input order. Entries come out sorted by pair, keyed by
+        lo * n + hi, which must fit in int64.
         """
+        if n > _MAX_KEYED_N:
+            raise InvalidParam(f"n={n} is too large: pair keys would overflow int64")
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         v = np.asarray(v, dtype=np.float64)

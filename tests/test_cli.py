@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
-from svdrank import harness
+from svdrank import harness, linalg
 from svdrank.baselines import complete_matrix
 from svdrank.cli import main
 from svdrank.harness import ingest_edge_list, prune_and_restrict
@@ -101,6 +103,34 @@ def test_exit_codes(capsys, edges, tmp_path):
     zero.write_text("0,1,0\n")
     code, _, err = rank(capsys, "--input", str(zero))
     assert code == 4 and err.startswith("DegenerateSpectrum")
+
+
+def test_huge_index_exits_with_a_message(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("0,1,2\n1,99999999999999999999,3\n")  # does not fit in int64
+    code, out, err = rank(capsys, "--input", str(path))
+    assert code == 3 and out == ""
+    assert err == "input error: line 2: index does not fit in a 64-bit integer\n"
+    path.write_text("0,1,2\n1,9223372036854775807,3\n")  # fits, but n * n does not
+    code, out, err = rank(capsys, "--input", str(path))
+    assert code == 2 and out == "" and "too large" in err
+
+
+def test_rank_labels_components_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "connected.csv"
+    path.write_text("\n".join(edge_rows()[:-2]) + "\n")  # nodes 0..7, connected
+    labels, calls = linalg.component_labels, []
+
+    def counted(H):
+        calls.append(H.n)
+        return labels(H)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("svdrank.") and getattr(module, "component_labels", None) is labels:
+            monkeypatch.setattr(module, "component_labels", counted)
+    code, out, _ = rank(capsys, "--input", str(path))
+    assert code == 0 and parse(out)[0]["n"] == "8"
+    assert calls == [8]
 
 
 def test_completion_size_limit_exits_before_ranking(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from svdrank.errors import ConfigError, ParseError, SelfLoop
+from svdrank import harness
+from svdrank.errors import ConfigError, InvalidParam, ParseError, SelfLoop
 from svdrank.harness import (
     evaluate_real,
     ingest_edge_list,
@@ -230,6 +231,137 @@ class TestIngest:
         got = {(int(i), int(j)): v for i, j, v in
                zip(mset.rows, mset.cols, mset.values)}
         assert got == expected
+
+
+    @pytest.mark.parametrize("text, expected", [
+        ("# home,away,margin\n0,1,2\n  # indented comment\n1,2,3\n",
+         {(0, 1): 2.0, (1, 2): 3.0}),
+        ("0,1,2\n   \n\t\n1,2,3\n", {(0, 1): 2.0, (1, 2): 3.0}),
+        ('"0","1","2"\n" 2 ",1,"3"\n', {(0, 1): 2.0, (1, 2): -3.0}),
+        ("1_0,1,2\n0,1,1_0\n", {(1, 10): -2.0, (0, 1): 10.0}),
+    ], ids=["comment_lines", "whitespace_lines", "quoted_fields", "underscore_digits"])
+    def test_syntax_only_the_line_parser_reads(self, tmp_path, text, expected):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        assert harness._load_edges(str(path), False) is None
+        mset = ingest_edge_list(str(path))
+        assert {(int(i), int(j)): v for i, j, v in
+                zip(mset.rows, mset.cols, mset.values)} == expected
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("1,2,nan", ParseError, "line 3: non-finite value"),
+        ("1.0,2,3", ParseError, "line 3: invalid literal for int() with base 10: '1.0'"),
+        ("1,2,3,", ParseError, "line 3: expected 3 fields, got 4"),
+        ("1,2,3 # note", ParseError, "line 3: could not convert string to float: '3 # note'"),
+        ("1 # note,2,3", ParseError,
+         "line 3: invalid literal for int() with base 10: '1 # note'"),
+        ("99999999999999999999,2,3", ParseError,
+         "line 3: index does not fit in a 64-bit integer"),
+        ("2,2,3", SelfLoop, "line 3: self-loop on node 2"),
+    ], ids=["nan", "float_index", "trailing_comma", "inline_comment", "inline_comment_index",
+            "overlong_index", "self_loop"])
+    def test_rejected_row_carries_line(self, tmp_path, row, error, message):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"# header\n0,1,2\n{row}\n3,4,5\n")
+        with pytest.raises(error) as info:
+            ingest_edge_list(str(path))
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_index_too_large_for_pair_keys(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("0,1,2\n1,9223372036854775807,3\n")
+        with pytest.raises(InvalidParam, match="too large"):
+            ingest_edge_list(str(path))
+
+
+def _ingest_outcome(path, **kwargs):
+    try:
+        return ingest_edge_list(str(path), **kwargs)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.n == want.n
+    for name in ("rows", "cols", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# Rows spliced into a small valid file. The first group parses in both the
+# loadtxt pass and the line parser; the rest make the loadtxt pass give up
+# or fail a check, or are rejected by both.
+PROBE_ROWS = [
+    " 1 , 2 , 3 ", "+1,2,3", "-0,1,2", "0012,3,4", "0\t,1,2", "0,1,3.", "0,1,.5", "0,1,-.5",
+    "0,1,1E5", "0,1,1e-400", "0,1,1e400", "0,1,INFINITY", "0,1,-infinity", "0,1,nan",
+    "0,1,2\r", "",
+    "# comment", "   ", '"0",1,2', "1_0,1,2", "0,1,1_0", "99999999999999999999,2,3",
+    "9223372036854775807,1,2", "-9223372036854775808,1,2", "1.0,2,3", "0,1,2,", "0,1",
+    "0,1,2 # x", "0x10,1,2", "0,1,0x1p3", "\ufeff0,1,2", "\uff11,2,3", "0,1,", ",1,2",
+    "1 2,3,4", "-1,2,3", "2,2,1", "0,1,2\x00",
+]
+
+
+class TestIngestOracle:
+    """ingest_edge_list against the same call with only the line parser reading the file."""
+
+    @staticmethod
+    def both(path, monkeypatch, **kwargs):
+        got = _ingest_outcome(path, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_load_edges", lambda *args: None)
+            want = _ingest_outcome(path, **kwargs)
+        return got, want
+
+    @pytest.mark.parametrize("one_indexed", [False, True])
+    @pytest.mark.parametrize("n", [None, 400])
+    def test_sampled_file(self, tmp_path, monkeypatch, one_indexed, n):
+        rng = np.random.default_rng(11)
+        i, j = rng.integers(0, 300, size=(2, 3000))
+        i, j = i[i != j], j[i != j]
+        v = rng.normal(size=i.size) * 10.0 ** rng.integers(-3, 4, size=i.size)
+        repeat = rng.choice(i.size, size=200, replace=False)
+        flip = rng.random(repeat.size) < 0.5  # repeated pairs, some reversed
+        i, j, v = (np.concatenate([i, np.where(flip, j[repeat], i[repeat])]),
+                   np.concatenate([j, np.where(flip, i[repeat], j[repeat])]),
+                   np.concatenate([v, np.where(flip, -v[repeat], v[repeat]) / 3.0]))
+        shift = int(one_indexed)
+        path = tmp_path / "edges.csv"
+        path.write_text("".join(f"{a + shift},{b + shift},{float(x)!r}\n"
+                                for a, b, x in zip(i, j, v)))
+
+        fast = harness._load_edges(str(path), one_indexed)
+        lines = harness._parse_edge_lines(str(path), one_indexed)
+        assert fast is not None
+        for a, b in zip(fast, lines):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got, want = self.both(path, monkeypatch, one_indexed=one_indexed, n=n)
+        _assert_same_outcome(got, want)
+        assert got.num_entries == np.unique(np.minimum(i, j) * 300 + np.maximum(i, j)).size
+
+    @pytest.mark.parametrize("one_indexed", [False, True])
+    @pytest.mark.parametrize("row", PROBE_ROWS)
+    def test_probe_row(self, tmp_path, monkeypatch, row, one_indexed):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"3,4,1.5\r\n\n{row}\n4,5,-2\n")
+        _assert_same_outcome(*self.both(path, monkeypatch, one_indexed=one_indexed))
+        _assert_same_outcome(*self.both(path, monkeypatch, one_indexed=one_indexed, n=8))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0,1,2", "1,0,2\n0,1,2\n"])
+    @pytest.mark.parametrize("n", [None, 1, 3])
+    def test_small_files(self, tmp_path, monkeypatch, text, n):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        _assert_same_outcome(*self.both(path, monkeypatch, n=n))
+
+    def test_missing_file(self, tmp_path, monkeypatch):
+        got, want = self.both(tmp_path / "missing.csv", monkeypatch)
+        assert isinstance(want, FileNotFoundError)
+        _assert_same_outcome(got, want)
 
 
 class TestRealEvaluation:
