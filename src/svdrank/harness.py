@@ -421,7 +421,9 @@ def _parse_edge_lines(path: str, one_indexed: bool) -> _Edges:
     """
     ii, jj, vv = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for raw in reader:
+            lineno = reader.line_num  # the record's last physical line
             if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue
             if raw[0].lstrip().startswith("#"):
@@ -456,20 +458,45 @@ def prune_and_restrict(m: SkewSparseMatrix,
 
     Returns the reindexed measurement set, which knows it is connected, and
     the array mapping new index to original node id.
+
+    When n > 2m some node is in no entry. Untouched nodes are isolated and
+    alike, so the touched nodes and the smallest untouched one (which wins a
+    tie between single-node components) stand for the graph, renumbered in
+    order in O(m) before any array of length n exists; the log counts the
+    others as well, so they read as for the whole graph.
     """
+    n = m.n
+    ids = None
+    if n > 2 * m.num_entries:
+        ids = _touched_and_first_untouched(m)
+        m = SkewSparseMatrix(ids.size, np.searchsorted(ids, m.rows),
+                             np.searchsorted(ids, m.cols), m.values)
     degree = np.bincount(m.rows, minlength=m.n) + np.bincount(m.cols, minlength=m.n)
     keep = degree >= min_degree
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        log.warning("pruning %d nodes with degree < %d", dropped, min_degree)
-    if not keep.any():
+    # The n - m.n nodes left out of m have degree 0, like the one kept for them.
+    survivors = int(np.count_nonzero(keep)) + (n - m.n if min_degree <= 0 else 0)
+    if survivors < n:
+        log.warning("pruning %d nodes with degree < %d", n - survivors, min_degree)
+    if not survivors:
         raise ConfigError("no nodes survive pruning")
-    kept = m.restrict(keep) if dropped else m
+    kept = m if keep.all() else m.restrict(keep)
     main, largest = kept.largest_component()
-    if main.n < kept.n:
+    if main.n < survivors:
         log.warning("graph disconnected after pruning; keeping largest component "
-                    "(%d of %d nodes)", main.n, kept.n)
-    return main, np.flatnonzero(keep)[largest]
+                    "(%d of %d nodes)", main.n, survivors)
+    mapping = np.flatnonzero(keep)[largest]
+    return main, mapping if ids is None else ids[mapping]
+
+
+def _touched_and_first_untouched(m: SkewSparseMatrix) -> np.ndarray:
+    """Sorted ids of the nodes in some entry of m, with the smallest node in none added.
+
+    Needs n > 2m, so that some node is in no entry.
+    """
+    touched = np.unique(np.concatenate([m.rows, m.cols]))
+    gaps = np.flatnonzero(touched != np.arange(touched.size))
+    first = int(gaps[0]) if gaps.size else touched.size
+    return np.insert(touched, first, first)
 
 
 def evaluate_real(m: SkewSparseMatrix, algorithms: tuple[str, ...] = ALGORITHMS,

@@ -13,14 +13,19 @@ matrix builds that array on its first product, keeps it, and multiplies with
 BLAS. Memory stays O(m) either way, so no kernel here needs O(n^2) memory on
 a sparse graph.
 
-Because H^T = -H, the Gram operator H H^T equals -H^2 and is symmetric
-positive semidefinite; every singular value of a skew-symmetric matrix has
-even multiplicity, so the dominant singular pair is always degenerate.
-``top2_svd`` therefore runs block Lanczos with blocks of size 2 on -H^2:
-full reorthogonalisation, a Rayleigh-Ritz step every iteration and a thick
-restart that keeps the leading Ritz vectors once the basis is full. A
-Krylov method needs about sqrt(1/gap) iterations where block power
-iteration needs about 1/gap, and the basis costs O(n) memory per column.
+Because H^T = -H, the eigenvalues of H are +-i sigma_k: every singular value
+has even multiplicity, the dominant singular pair is always degenerate, and
+its two left singular vectors span the real invariant subspace of +-i sigma_1.
+``top2_svd`` finds that subspace by Lanczos on H itself (Greif, Paige,
+Titley-Peloquin & Varah, SIMAX 2016): a single real start vector reaches it,
+since +-i sigma_1 are simple eigenvalues of H, and the zero-diagonal
+recurrence H q_k = beta_k q_{k+1} - beta_{k-1} q_{k-1} costs one matvec per
+basis vector. The solver keeps the basis orthonormal by full
+reorthogonalisation, takes the SVD of the small skew projection V^T H V every
+four steps (Rayleigh-Ritz), and restarts onto its leading Ritz vectors once
+the basis is full (Krylov-Schur, Stewart 2001). A Krylov method needs about
+sqrt(1/gap) steps where power iteration needs about 1/gap, and the basis
+costs O(n) memory per column.
 """
 
 from __future__ import annotations
@@ -251,67 +256,78 @@ class SpectralPair:
         return np.column_stack([self.u1, self.u2])
 
 
-# Block Lanczos sizes for top2_svd: the basis holds at most LANCZOS_BASIS
-# columns (blocks of two); a thick restart then keeps the LANCZOS_KEEP
-# leading Ritz vectors. The basis and its products cost O(n * LANCZOS_BASIS).
+# Lanczos sizes for top2_svd: the basis holds at most LANCZOS_BASIS vectors
+# whose products are known, plus the next one; a thick restart then keeps
+# the LANCZOS_KEEP leading Ritz vectors, an even count, so that no pair of
+# Ritz values +-i theta is split. The basis and its products cost
+# O(n * LANCZOS_BASIS). An iteration is LANCZOS_STEPS steps, one matvec
+# each, followed by one Rayleigh-Ritz check.
 LANCZOS_BASIS = 64
 LANCZOS_KEEP = 16
-# A new basis column left with less than this share of the norm of its
+LANCZOS_STEPS = 4
+# A new basis vector left with at most this share of the norm of its
 # operator product after orthogonalisation is a breakdown: the Krylov space
-# is invariant (or fills the whole space) up to rounding, and the column is
-# replaced by a seeded random direction.
+# is invariant up to rounding, and the vector is replaced by a seeded random
+# direction.
 BREAKDOWN = 1e-13
 
 
-def _next_block(W: np.ndarray, ref: np.ndarray, V: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """Two orthonormal columns spanning W, orthogonal to the orthonormal columns of V.
+def _orthogonalise(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w with the span of V's orthonormal columns removed, and the coefficients removed.
 
-    The caller has projected V out of W once; one more pass over the block
-    and two within it make classical Gram-Schmidt applied twice. A column
-    left with at most ``BREAKDOWN`` of its reference norm ``ref`` is replaced
-    by a Gaussian draw from ``rng``, projected the same way.
+    Classical Gram-Schmidt applied twice.
     """
-    W = W - V @ (V.T @ W)
-    X = np.empty_like(W)
-    for j in range(2):
-        w, floor = W[:, j], BREAKDOWN * ref[j]
-        while True:
-            for _ in range(2):
-                w = w - X[:, :j] @ (X[:, :j].T @ w)
-            norm = np.linalg.norm(w)
-            if norm > floor:
-                break
-            w = rng.standard_normal(W.shape[0])
-            floor = BREAKDOWN * np.linalg.norm(w)
-            for _ in range(2):
-                w = w - V @ (V.T @ w)
-        X[:, j] = w / norm
-    return X
+    c = V.T @ w
+    w = w - V @ c
+    c2 = V.T @ w
+    return w - V @ c2, c + c2
+
+
+def _random_direction(V: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unit Gaussian draw from ``rng`` orthogonal to V, which has fewer columns than rows."""
+    while True:
+        w = rng.standard_normal(V.shape[0])
+        ref = np.linalg.norm(w)
+        w, _ = _orthogonalise(w, V)
+        norm = np.linalg.norm(w)
+        if norm > BREAKDOWN * ref:
+            return w / norm
 
 
 def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
              seed: int = 0) -> SpectralPair:
-    """Dominant singular pair of H by restarted block Lanczos on -H^2.
+    """Dominant singular pair of H by restarted Lanczos on H itself.
 
-    The symmetric PSD operator x -> -H(Hx) is applied to blocks of size 2:
-    the top singular value of a skew-symmetric matrix always has
-    multiplicity two, so a single Krylov vector cannot resolve it. Each
-    iteration applies the operator to the newest block (four matvecs),
-    stores the products beside the basis, and takes the top two Ritz pairs
-    of the basis (Rayleigh-Ritz); their residuals follow from the part of
-    the new products outside the basis, which, orthogonalised against the
-    whole basis (full reorthogonalisation), is the next block. When
-    the basis would exceed ``LANCZOS_BASIS`` columns (or n), a thick restart
-    shrinks it to its ``LANCZOS_KEEP`` leading Ritz vectors, whose products
-    are the same combinations of the stored ones, so no matvec is spent on
-    it. Converged when the relative residual ||(-H^2)v - lambda v|| / lambda
-    is at most ``tol`` for both Ritz vectors.
+    Each Lanczos step multiplies the newest basis vector by H (one matvec),
+    stores the product, and orthogonalises it against the whole basis (full
+    reorthogonalisation); the remainder, normalised, is the next basis
+    vector, so H V = V G + v e^T with G = V^T H V skew. A remainder of at
+    most ``BREAKDOWN`` of the product's norm is a breakdown, and a seeded
+    Gaussian direction replaces it; that step still spent its matvec. An
+    iteration is ``LANCZOS_STEPS`` (four) steps, so it makes exactly four
+    matvecs, followed by a Rayleigh-Ritz check: the SVD of the skew part of
+    G, whose top pair gives u1, u2, sigma1 and sigma2 and whose next pair
+    gives sigma3. The only exception to four matvecs per iteration is a
+    basis that already spans all of R^n (n <= ``LANCZOS_BASIS``): the
+    projection is then exact and no further product is taken. When the
+    next iteration would exceed ``LANCZOS_BASIS`` vectors, a thick restart
+    (Krylov-Schur) keeps the ``LANCZOS_KEEP`` leading Ritz vectors, whose
+    products are the same combinations of the stored ones, so no matvec is
+    spent on it.
 
-    The starting block is seeded Gaussian, so runs are reproducible.
-    ``sigma3`` is the square root of the third Ritz value, a lower bound on
-    the third singular value (nan while the basis has two columns). Raises
-    DegenerateSpectrum for a numerically zero matrix and NotConverged
+    ``tol`` bounds the relative residual ||(-H^2)u - sigma^2 u|| / sigma^2
+    of -H^2. With U = [u1 u2], H U = U M + R for the 2 x 2 skew
+    M = U^T H U, and then (-H^2) U - sigma^2 U = -(R M + H R), so that
+    residual is at most 2 ||R|| / sigma1 up to the difference between
+    sigma1 and its Ritz value. The check estimates ||R|| from the last row
+    of G; once the estimate passes, ||R|| is measured from the stored
+    products, and the pair converges when 2 ||R|| / sigma1 <= ``tol``. That
+    measured value is the returned ``residual``.
+
+    The start vector is seeded Gaussian, so runs are reproducible.
+    ``sigma3`` is a lower bound on the third singular value by Cauchy
+    interlacing for the Hermitian iH (nan while the basis has two vectors).
+    Raises DegenerateSpectrum for a numerically zero matrix and NotConverged
     (carrying the partial result) when ``max_iter`` is exhausted.
     """
     if H.n < 2:
@@ -322,54 +338,62 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     if scale == 0.0:
         raise DegenerateSpectrum("matrix has no nonzero entries")
 
+    n = H.n
     rng = np.random.default_rng(seed)
-    X, _ = np.linalg.qr(rng.standard_normal((H.n, 2)))
-    cap = min(LANCZOS_BASIS, H.n)
-    V = np.empty((H.n, cap), order="F")  # orthonormal basis
-    AV = np.empty((H.n, cap), order="F")  # (-H^2) V
-    T = np.empty((cap, cap))  # V^T (-H^2) V
-    floor_min = max(tol * (scale * H.n) ** 2, np.finfo(float).tiny)
+    cap = min(LANCZOS_BASIS + 1, n)
+    V = np.empty((n, cap), order="F")  # orthonormal basis; V[:, k] is the next vector
+    AV = np.empty((n, cap), order="F")  # H V[:, :k]
+    G = np.zeros((cap + 1, cap))  # H V[:, :k] = V[:, :k + 1] G[:k + 1, :k]
+    floor = max(tol * scale * n, np.finfo(float).tiny)
+    start = rng.standard_normal(n)
+    V[:, 0] = start / np.linalg.norm(start)
 
-    def rel_residual(R, theta):
-        return max(np.linalg.norm(R[:, 0]), np.linalg.norm(R[:, 1])) / max(theta[1], floor_min)
-
-    k = 0
+    k = 0  # basis vectors whose products are known
     for sweep in range(1, max_iter + 1):
-        Z = np.column_stack([-H.matvec(H.matvec(X[:, 0])),
-                             -H.matvec(H.matvec(X[:, 1]))])
-        V[:, k:k + 2], AV[:, k:k + 2] = X, Z
-        k += 2
-        C = V[:, :k].T @ Z
-        C[-2:] = 0.5 * (C[-2:] + C[-2:].T)
-        T[:k, k - 2:k] = C
-        T[k - 2:k, :k] = C.T
-        theta, Y = np.linalg.eigh(T[:k, :k])
-        theta, Y = theta[::-1], Y[:, ::-1]
-        # (-H^2) V = V T + W E^T with E selecting the newest block, so the
-        # Ritz residuals are W times the last two rows of Y. Once that
-        # estimate passes, the residual is measured directly.
-        W = Z - V[:, :k] @ C
-        if sweep == max_iter or rel_residual(W @ Y[-2:, :2], theta) <= tol:
+        for _ in range(LANCZOS_STEPS):
+            if k == n:  # the basis spans R^n
+                break
+            AV[:, k] = H.matvec(V[:, k])
+            w, G[:k + 1, k] = _orthogonalise(AV[:, k], V[:, :k + 1])
+            k += 1
+            if k < n:
+                beta = np.linalg.norm(w)
+                if beta > BREAKDOWN * np.linalg.norm(AV[:, k - 1]):
+                    G[k, k - 1], V[:, k] = beta, w / beta
+                else:
+                    G[k, k - 1], V[:, k] = 0.0, _random_direction(V[:, :k], rng)
+        S = 0.5 * (G[:k, :k] - G[:k, :k].T)
+        Y, theta, _ = np.linalg.svd(S)
+        # H V Y = V S Y + v g^T Y with g the next vector's row of G, and the
+        # top two columns of Y span an invariant subspace of S, so the
+        # residual R of that pair is v times g^T Y[:, :2].
+        estimate = 2.0 * np.abs(G[k, :k] @ Y[:, :2]).max() / max(theta[0], floor)
+        if sweep == max_iter or estimate <= tol:
             U = V[:, :k] @ Y[:, :2]
-            residual = rel_residual(AV[:, :k] @ Y[:, :2] - U * theta[:2], theta)
+            HU = AV[:, :k] @ Y[:, :2]
+            M = U.T @ HU
+            R = HU - U @ (0.5 * (M - M.T))
+            residual = 2.0 * np.linalg.norm(R, axis=0).max() / max(theta[0], floor)
             if residual <= tol or sweep == max_iter:
                 break
-        if k + 2 > cap:  # thick restart onto the leading Ritz vectors
-            keep = min(LANCZOS_KEEP, cap - 2)
-            V[:, :keep] = V[:, :k] @ Y[:, :keep]
-            AV[:, :keep] = AV[:, :k] @ Y[:, :keep]
-            T[:keep, :keep] = np.diag(theta[:keep])
-            k = keep
-        X = _next_block(W, np.linalg.norm(Z, axis=0), V[:, :k], rng)
-    sigma = np.sqrt(np.clip(theta[:3], 0.0, None))
-    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(sigma[0]),
-                        sigma2=float(sigma[1]),
-                        sigma3=float(sigma[2]) if sigma.size > 2 else float("nan"),
+        if k < n and k + LANCZOS_STEPS > LANCZOS_BASIS:  # thick restart
+            keep = Y[:, :LANCZOS_KEEP]
+            V[:, :LANCZOS_KEEP] = V[:, :k] @ keep
+            V[:, LANCZOS_KEEP] = V[:, k]
+            AV[:, :LANCZOS_KEEP] = AV[:, :k] @ keep
+            row = G[k, :k] @ keep
+            G[:k + 1, :k] = 0.0
+            G[:LANCZOS_KEEP, :LANCZOS_KEEP] = keep.T @ S @ keep
+            G[LANCZOS_KEEP, :LANCZOS_KEEP] = row
+            k = LANCZOS_KEEP
+    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(theta[0]),
+                        sigma2=float(theta[1]),
+                        sigma3=float(theta[2]) if k > 2 else float("nan"),
                         iterations=sweep, residual=float(residual))
-    if pair.sigma1 <= tol * scale * H.n:
+    if pair.sigma1 <= tol * scale * n:
         raise DegenerateSpectrum("top singular value is numerically zero")
     if residual > tol:
-        raise NotConverged(f"block Lanczos stalled at residual {residual:.3e}",
+        raise NotConverged(f"Lanczos stalled at residual {residual:.3e}",
                            result=pair, residual=float(residual), iterations=sweep)
     return pair
 

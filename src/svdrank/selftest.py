@@ -42,6 +42,7 @@ def _noiseless(r: np.ndarray) -> SkewSparseMatrix:
 def _checks():
     yield "matvec antisymmetry", _check_matvec
     yield "top2 singular identity", _check_top2_identity
+    yield "top2 one iteration on a noiseless 3-node matrix", _check_top2_one_iteration
     yield "degenerate spectrum", _check_degenerate
     yield "noiseless exact recovery", _check_noiseless
     yield "two-node centering", _check_two_node
@@ -76,6 +77,12 @@ def _check_top2_identity():
     pair = top2_svd(_noiseless(r))
     expected = math.sqrt(6.0)
     assert abs(pair.sigma1 - expected) < 1e-8 and abs(pair.sigma2 - expected) < 1e-8
+
+
+def _check_top2_one_iteration():
+    # Three Lanczos steps span R^3, so the first Ritz check is exact.
+    pair = top2_svd(_noiseless(np.array([1.0, 2.0, 4.0])))
+    assert pair.iterations == 1 and pair.residual <= 1e-10, (pair.iterations, pair.residual)
 
 
 def _check_degenerate():

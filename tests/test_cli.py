@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_huge_index_exits_with_a_message(capsys, tmp_path):
     path.write_text("0,1,2\n1,9223372036854775807,3\n")  # fits, but n * n does not
     code, out, err = rank(capsys, "--input", str(path))
     assert code == 2 and out == "" and "too large" in err
+
+
+def test_large_index_far_above_row_count_ranks_in_small_memory(capsys, tmp_path):
+    # n = 3037000499 fits the pair keys, but any array of length n takes 24 GB.
+    path = tmp_path / "far.csv"
+    path.write_text("0,1,2\n3037000498,3037000497,1\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = rank(capsys, "--input", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    fields, positions, items, scores = parse(out)
+    assert fields["n"] == "2" and list(items) == [0, 1] and list(scores) == [1.0, -1.0]
+    assert peak < 8 * 3037000499 // 1000
 
 
 def test_rank_labels_components_once(capsys, tmp_path, monkeypatch):

@@ -267,6 +267,13 @@ class TestIngest:
             ingest_edge_list(str(path))
         assert type(info.value) is error and str(info.value) == message
 
+    def test_error_after_multiline_quoted_field_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text('0,1,"2\n"\n1,1,3\n')  # the first record spans lines 1 and 2
+        with pytest.raises(SelfLoop) as info:
+            ingest_edge_list(str(path))
+        assert str(info.value) == "line 3: self-loop on node 1"
+
     def test_index_too_large_for_pair_keys(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("0,1,2\n1,9223372036854775807,3\n")
@@ -398,6 +405,75 @@ class TestRealEvaluation:
         rand_row = next(r for r in rows if r.algorithm == "random")
         frac = rand_row.upsets / mset.num_entries
         assert 0.35 < frac < 0.65
+
+
+def _prune_oracle(m, min_degree):
+    """prune_and_restrict on the whole node range, with O(n) arrays throughout."""
+    degree = np.bincount(m.rows, minlength=m.n) + np.bincount(m.cols, minlength=m.n)
+    keep = degree >= min_degree
+    if not keep.any():
+        return None
+    kept = m.restrict(keep)
+    main, largest = kept.largest_component()
+    messages = []
+    if not keep.all():
+        messages.append(f"pruning {np.count_nonzero(~keep)} nodes with degree < {min_degree}")
+    if main.n < kept.n:
+        messages.append("graph disconnected after pruning; keeping largest component "
+                        f"({main.n} of {kept.n} nodes)")
+    return main, np.flatnonzero(keep)[largest], messages
+
+
+class TestPruneUntouchedNodes:
+    """With n > 2m, pruning works on the touched nodes only and matches the whole-range oracle."""
+
+    CASES = [
+        # (n, rows, cols): touched nodes with gaps, node 0 untouched, no gap
+        # below the last touched node, no entries, and single edges only.
+        (12, [1, 1, 2, 6], [2, 3, 3, 9]),
+        (40, [3, 3, 7, 20, 21], [7, 20, 9, 21, 30]),
+        (9, [0, 1], [1, 2]),
+        (7, [], []),
+        (30, [2, 5, 11], [4, 8, 29]),
+    ]
+
+    @pytest.mark.parametrize("n, rows, cols", CASES)
+    @pytest.mark.parametrize("min_degree", [0, 1, 2])
+    def test_matches_whole_range_oracle(self, caplog, n, rows, cols, min_degree):
+        m = SkewSparseMatrix(n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                             np.arange(1.0, len(rows) + 1))
+        assert m.n > 2 * m.num_entries
+        want = _prune_oracle(m, min_degree)
+        if want is None:
+            with pytest.raises(ConfigError, match="no nodes survive"):
+                prune_and_restrict(m, min_degree)
+            return
+        want_main, want_ids, want_log = want
+        caplog.clear()
+        main, ids = prune_and_restrict(m, min_degree)
+        assert [r.getMessage() for r in caplog.records] == want_log
+        assert main.n == want_main.n and main.is_connected
+        assert np.array_equal(ids, want_ids)
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(main, name), getattr(want_main, name))
+
+    def test_random_sparse_graphs(self, rng, caplog):
+        for _ in range(20):
+            n = int(rng.integers(50, 400))
+            i, j = rng.integers(0, n, size=(2, int(rng.integers(1, n // 3))))
+            m = SkewSparseMatrix.from_pairs(n, i[i != j], j[i != j], rng.standard_normal(
+                int(np.count_nonzero(i != j))))
+            for min_degree in (0, 1, 2):
+                want = _prune_oracle(m, min_degree)
+                if want is None:
+                    continue
+                want_main, want_ids, want_log = want
+                caplog.clear()
+                main, ids = prune_and_restrict(m, min_degree)
+                assert [r.getMessage() for r in caplog.records] == want_log
+                assert np.array_equal(ids, want_ids)
+                assert np.array_equal(main.rows, want_main.rows)
+                assert np.array_equal(main.cols, want_main.cols)
 
 
 def test_write_csv_excludes_timing_by_default(tmp_path):
