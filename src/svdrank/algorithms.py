@@ -68,10 +68,6 @@ class RankingResult:
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "score_estimate", scores)
 
-    @property
-    def n(self) -> int:
-        return int(self.score_estimate.size)
-
 
 def center(v: np.ndarray) -> np.ndarray:
     """Subtract the mean: v - (e^T v / n) e."""

@@ -24,9 +24,8 @@ finder (Halko, Martinsson & Tropp 2011), warm-started from the previous
 iterate's right singular vectors, followed by a Rayleigh-Ritz step. A
 result is kept only when it shows a singular value at or below the
 threshold and every kept triplet has a residual of at most ``SVT_TOL``
-times the largest; otherwise the block doubles, and a basis that would span
-R^n becomes the full dense SVD. The iterate itself stays a dense n x n
-array.
+times the largest; otherwise, or when the basis would span R^n, the full
+dense SVD is taken instead. The iterate itself stays a dense n x n array.
 """
 
 from __future__ import annotations
@@ -184,12 +183,13 @@ def _soft_threshold(Y: np.ndarray, lam: float,
     with s > lam, so that the thresholded matrix is ``(U * (s - lam)) @ V.T``.
     The block Krylov basis starts from ``V0`` (the previous kept right
     singular vectors) plus Gaussian columns from a fixed seed, an even number
-    in all, since a skew-symmetric Y has its singular values in pairs.
+    in all, since a skew-symmetric Y has its singular values in pairs. One
+    try is made; a rejected one falls back to the dense SVD of Y.
     """
     n = Y.shape[0]
-    rng = np.random.default_rng(0)
     b = V0.shape[1] + SVT_EXTRA + V0.shape[1] % 2
-    while SVT_BLOCKS * b < n:
+    if SVT_BLOCKS * b < n:
+        rng = np.random.default_rng(0)
         start = np.hstack([V0, rng.standard_normal((n, b - V0.shape[1]))])
         Q = np.linalg.qr(Y @ start)[0]
         for _ in range(SVT_BLOCKS - 1):
@@ -204,7 +204,6 @@ def _soft_threshold(Y: np.ndarray, lam: float,
         residual = np.linalg.norm(Y @ V - U * s[:k], axis=0)
         if k < s.size and np.all(residual <= SVT_TOL * s[0]):
             return U * (s[:k] - lam), V
-        b *= 2
     U, s, Vt = np.linalg.svd(Y, full_matrices=False)
     k = int(np.count_nonzero(s > lam))
     return U[:, :k] * (s[:k] - lam), Vt[:k].T

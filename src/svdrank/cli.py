@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .baselines import CompletionConfig, coherence, complete_matrix
-from .errors import ConfigError, InvalidParam, ParseError, SelfLoop, SvdRankError
+from .errors import ConfigError, InvalidParam, ParseError, SvdRankError
 from .harness import (
     ALGORITHMS,
     complete_and_rank,
@@ -147,9 +147,8 @@ def _cmd_bounds(args) -> int:
     report = evaluate_all_bounds(scores, args.p, eta, params)
     print(f"model: n={args.n} p={args.p} gamma={args.gamma} scores={args.scores} "
           f"M={stats.M:.6g} dev_norm={stats.dev_norm:.6g}")
-    if report.uses_placeholder_constants:
-        print("note: l-infinity values use placeholder universal constants = 1; "
-              "treat them qualitatively")
+    print("note: l-infinity values use placeholder universal constants = 1; "
+          "treat them qualitatively")
     for name, value in report.values.items():
         ok = report.preconditions_ok[name]
         print(f"{name:26s} {value:14.6g}   precondition_ok={ok}")
@@ -183,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InvalidParam) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ParseError, SelfLoop) as exc:
+    except (OSError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except SvdRankError as exc:

@@ -76,10 +76,8 @@ class ParseError(SvdRankError):
         self.line = line
 
 
-class SelfLoop(SvdRankError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+class SelfLoop(ParseError):
+    pass
 
 
 class ConfigError(SvdRankError):

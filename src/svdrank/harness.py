@@ -43,6 +43,7 @@ from .baselines import (
 from .errors import (
     ConfigError,
     GraphDisconnectedWarning,
+    InvalidParam,
     ParseError,
     SelfLoop,
     SvdRankError,
@@ -101,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("p values must lie in [0, 1]")
         if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
             raise ConfigError("gamma values must lie in [0, 1]")
+        if any(len(set(grid)) < len(grid) for grid in (self.p_grid, self.gamma_grid)):
+            raise ConfigError("p_grid and gamma_grid values must not repeat")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -113,6 +116,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown score kind {self.scores!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            BoundParams(epsilon=self.epsilon)
+        except InvalidParam as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -241,12 +248,12 @@ def _theory_columns(row: ResultRow, result: RankingResult, scores: ScoreVector,
     if result.method == "svd_rs":
         target = u2_true(scores)
         stats = ModelStats.from_scores(scores, p, eta)
-        bound = l2_bound_svdrs(stats, params, strict=False)
+        bound = l2_bound_svdrs(stats, params)
         precond = l2_precondition_holds(stats, params)
     elif result.method == "svd_nrs":
         target = u2_true_nrs(scores, p, eta)
         stats = nrs_stats(scores, p, eta, params)
-        bound = l2_bound_svdnrs(stats, strict=False)
+        bound = l2_bound_svdnrs(stats)
         precond = nrs_preconditions_hold(stats)
     else:
         return

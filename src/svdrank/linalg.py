@@ -209,7 +209,7 @@ class SkewSparseMatrix:
         return dense
 
     @staticmethod
-    def from_dense(dense: np.ndarray, atol: float = 0.0) -> "SkewSparseMatrix":
+    def from_dense(dense: np.ndarray) -> "SkewSparseMatrix":
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionMismatch("expected a square matrix")
@@ -217,7 +217,7 @@ class SkewSparseMatrix:
             raise InvalidParam("matrix is not skew-symmetric")
         i, j = np.triu_indices(dense.shape[0], 1)
         v = dense[i, j]
-        keep = np.abs(v) > atol
+        keep = v != 0
         return SkewSparseMatrix(dense.shape[0], i[keep], j[keep], v[keep])
 
 

@@ -69,11 +69,6 @@ class EROParams:
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidParam("eta must lie in [0, 1]")
 
-    @property
-    def gamma(self) -> float:
-        """Noise level 1 - eta."""
-        return 1.0 - self.eta
-
 
 def generate_scores(kind: str, n: int, seed: int = 0, a: float = 0.5,
                     b: float = 1.0) -> ScoreVector:

@@ -9,11 +9,11 @@ pipeline. They only evaluate formulas; nothing here is needed by the
 recovery algorithms themselves.
 
 Two universal constants in the l-infinity chain are never pinned by the
-analysis; they are set to 1.0 here and every report carries an explicit
-flag, so l-infinity numbers support qualitative (scaling, monotonicity)
-comparisons only. Evaluators take ``strict=False`` to compute a bound's
-right-hand side even where its hypothesis fails, which callers use to
-report bound values together with a precondition flag.
+analysis; they are set to ``PLACEHOLDER_CONSTANT`` = 1.0 here, so
+l-infinity numbers support qualitative (scaling, monotonicity) comparisons
+only. Evaluators return a bound's right-hand side whether or not its
+hypothesis holds; the ``*_precondition(s)_hold`` predicates say whether it
+does, and callers report the two side by side.
 
 Everything consumes the model parameters (p, eta, the true scores), which
 are only available in synthetic experiments; none of this applies to real
@@ -23,7 +23,7 @@ data, where those quantities are unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,12 @@ class BoundParams:
     """Free parameters of the probabilistic guarantees.
 
     epsilon enters the spectral-norm level, xi / kappa only the l-infinity
-    tail exponents. ``constant`` stands in for the unspecified universal
-    constants of the l-infinity chain.
+    tail exponents.
     """
 
     epsilon: float = 0.5
     xi: float = 2.0
     kappa: float = 0.5
-    constant: float = PLACEHOLDER_CONSTANT
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
@@ -60,12 +58,6 @@ class BoundParams:
             raise InvalidParam("xi must exceed 1")
         if not 0.0 < self.kappa < 1.0:
             raise InvalidParam("kappa must lie in (0, 1)")
-        if self.constant <= 0:
-            raise InvalidParam("constant must be positive")
-
-    @property
-    def mu(self) -> float:
-        return 2.0 / (self.kappa + 1.0)
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,8 @@ class NRSStats:
 class BoundReport:
     """Evaluated bounds keyed by name, with per-bound precondition flags."""
 
-    values: dict[str, float] = field(default_factory=dict)
-    preconditions_ok: dict[str, bool] = field(default_factory=dict)
-    uses_placeholder_constants: bool = True
+    values: dict[str, float]
+    preconditions_ok: dict[str, bool]
 
 
 def pair_abs_sums(values: np.ndarray) -> np.ndarray:
@@ -148,9 +139,13 @@ def wedin_delta(delta_cap: float, stats: ModelStats) -> float:
     return delta_cap / (base - delta_cap)
 
 
-def _l2_threshold(stats: ModelStats, params: BoundParams) -> float:
+def _require_signal(stats: ModelStats) -> None:
     if stats.eta <= 0 or stats.p <= 0:
-        raise InvalidParam("l2 bound needs eta > 0 and p > 0")
+        raise InvalidParam("need eta > 0 and p > 0")
+
+
+def _l2_threshold(stats: ModelStats, params: BoundParams) -> float:
+    _require_signal(stats)
     return (24.0 * stats.M / stats.eta) * math.sqrt(5.0 / (3.0 * stats.p)) * (2.0 + params.epsilon)
 
 
@@ -158,10 +153,9 @@ def l2_precondition_holds(stats: ModelStats, params: BoundParams) -> bool:
     return stats.dev_norm >= _l2_threshold(stats, params)
 
 
-def l2_bound_svdrs(stats: ModelStats, params: BoundParams, strict: bool = True) -> float:
+def l2_bound_svdrs(stats: ModelStats, params: BoundParams) -> float:
     """Bound on the squared l2 error of the recovered in-span direction."""
-    if strict and not l2_precondition_holds(stats, params):
-        raise PreconditionViolated("score deviation below the required level")
+    _require_signal(stats)
     return ((120.0 * stats.M / stats.eta) * math.sqrt(5.0 / (3.0 * stats.p))
             * (2.0 + params.epsilon) / stats.dev_norm)
 
@@ -175,21 +169,17 @@ def linf_preconditions_hold(stats: ModelStats, params: BoundParams) -> bool:
     return l2_precondition_holds(stats, params)
 
 
-def linf_C_svdrs(stats: ModelStats, params: BoundParams,
-                 strict: bool = True) -> tuple[float, float]:
+def linf_C_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, float]:
     """The l-infinity driver term C(.) and the full direction bound.
 
     Returns (C, bound) with bound = 4 (2 + sqrt(2)) C + 4 sqrt(n) C^2. Uses
     the placeholder universal constant, so treat values qualitatively.
     """
-    if strict and not linf_preconditions_hold(stats, params):
-        raise PreconditionViolated("l-infinity hypotheses fail at these parameters")
-    if stats.eta <= 0 or stats.p <= 0:
-        raise InvalidParam("need eta > 0 and p > 0")
+    _require_signal(stats)
     n, M, eta, p, dev = stats.n, stats.M, stats.eta, stats.p, stats.dev_norm
     logn = math.log(n)
     spread = 1.0 / math.sqrt(n) + (M - stats.alpha) / dev
-    c_val = params.constant * (
+    c_val = PLACEHOLDER_CONSTANT * (
         (M * math.sqrt(logn) / (eta * math.sqrt(p) * dev)
          + M ** 2 * logn ** (2.0 * params.xi) / (eta ** 2 * p * dev ** 2)) * spread
         + M ** 3 / (eta ** 3 * p ** 1.5 * dev ** 3))
@@ -205,16 +195,13 @@ def rank_displacement_bound(stats: ModelStats, params: BoundParams,
     return 4.0 * stats.dev_norm * upsilon / stats.rho
 
 
-def score_bounds_svdrs(stats: ModelStats, params: BoundParams,
-                       strict: bool = True) -> tuple[float, float]:
+def score_bounds_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, float]:
     """Score-recovery bounds (l2, linf) for the known-scale estimate."""
-    if strict and not l2_precondition_holds(stats, params):
-        raise PreconditionViolated("score deviation below the required level")
+    c_val, _ = linf_C_svdrs(stats, params)  # raises InvalidParam unless eta, p > 0
     n, M, eta, p, dev = stats.n, stats.M, stats.eta, stats.p, stats.dev_norm
     eps2 = 2.0 + params.epsilon
     l2 = ((8.0 * M / eta) * math.sqrt(5.0 / (3.0 * p)) * eps2
           + math.sqrt(120.0 * M * eps2 * dev / (eta * math.sqrt(p))) * (5.0 / 3.0) ** 0.25)
-    c_val, _ = linf_C_svdrs(stats, params, strict=False)
     linf = ((16.0 / 3.0) * dev * ((2.0 + math.sqrt(2.0)) * c_val + math.sqrt(n) * c_val ** 2)
             + 8.0 * math.sqrt(5.0 / 3.0) * eps2 * M * (M - stats.alpha) / (eta * math.sqrt(p) * dev))
     return l2, linf
@@ -269,17 +256,13 @@ def nrs_preconditions_hold(stats: NRSStats) -> bool:
     return stats.delta_tilde <= stats.sigma_min / 3.0
 
 
-def l2_bound_svdnrs(stats: NRSStats, strict: bool = True) -> float:
+def l2_bound_svdnrs(stats: NRSStats) -> float:
     """Bound 15 Delta~ / sigma_min on the squared direction error."""
-    if strict and not nrs_preconditions_hold(stats):
-        raise PreconditionViolated("normalized-pipeline hypotheses fail")
     return 15.0 * stats.delta_tilde / stats.sigma_min
 
 
-def score_l2_bound_svdnrs(stats: NRSStats, strict: bool = True) -> float:
+def score_l2_bound_svdnrs(stats: NRSStats) -> float:
     """Score-recovery l2 bound for the normalized known-scale estimate."""
-    if strict and not nrs_preconditions_hold(stats):
-        raise PreconditionViolated("normalized-pipeline hypotheses fail")
     n, p, eta = stats.n, stats.p, stats.eta
     logn = math.log(n)
     quarter = (stats.A * n * p * logn) ** 0.25
@@ -297,41 +280,30 @@ def evaluate_all_bounds(scores: ScoreVector, p: float, eta: float,
     """Evaluate every closed-form bound at the given model parameters.
 
     Right-hand sides are always computed; each carries a flag saying whether
-    its hypothesis actually holds there. The report is marked as relying on
-    placeholder universal constants (the l-infinity chain always does).
+    its hypothesis actually holds there.
     """
     stats = ModelStats.from_scores(scores, p, eta)
     nstats = nrs_stats(scores, p, eta, params)
-    c_val, upsilon = linf_C_svdrs(stats, params, strict=False)
-    score_l2, score_linf = score_bounds_svdrs(stats, params, strict=False)
+    c_val, upsilon = linf_C_svdrs(stats, params)
+    score_l2, score_linf = score_bounds_svdrs(stats, params)
     l2_ok = l2_precondition_holds(stats, params)
     linf_ok = linf_preconditions_hold(stats, params)
     nrs_ok = nrs_preconditions_hold(nstats)
-    values = {
-        "noise_spectral_level": delta_spectral(stats, params),
-        "direction_l2_sq": l2_bound_svdrs(stats, params, strict=False),
-        "direction_linf": upsilon,
-        "linf_driver_C": c_val,
-        "score_l2": score_l2,
-        "score_linf": score_linf,
-        "nrs_direction_l2_sq": l2_bound_svdnrs(nstats, strict=False),
-        "nrs_score_l2": score_l2_bound_svdnrs(nstats, strict=False),
-    }
-    preconds = {
-        "noise_spectral_level": True,
-        "direction_l2_sq": l2_ok,
-        "direction_linf": linf_ok,
-        "linf_driver_C": linf_ok,
-        "score_l2": l2_ok,
-        "score_linf": linf_ok,
-        "nrs_direction_l2_sq": nrs_ok,
-        "nrs_score_l2": nrs_ok,
+    table = {
+        "noise_spectral_level": (delta_spectral(stats, params), True),
+        "direction_l2_sq": (l2_bound_svdrs(stats, params), l2_ok),
+        "direction_linf": (upsilon, linf_ok),
+        "linf_driver_C": (c_val, linf_ok),
+        "score_l2": (score_l2, l2_ok),
+        "score_linf": (score_linf, linf_ok),
+        "nrs_direction_l2_sq": (l2_bound_svdnrs(nstats), nrs_ok),
+        "nrs_score_l2": (score_l2_bound_svdnrs(nstats), nrs_ok),
     }
     if stats.rho > 0:
-        values["rank_max_displacement"] = rank_displacement_bound(stats, params, upsilon)
-        preconds["rank_max_displacement"] = linf_ok
-    return BoundReport(values=values, preconditions_ok=preconds,
-                       uses_placeholder_constants=True)
+        table["rank_max_displacement"] = (rank_displacement_bound(stats, params, upsilon),
+                                          linf_ok)
+    return BoundReport(values={name: value for name, (value, _) in table.items()},
+                       preconditions_ok={name: ok for name, (_, ok) in table.items()})
 
 
 def u2_true(scores: ScoreVector) -> np.ndarray:

@@ -132,8 +132,8 @@ def l2_regime_trials():
     data = {}
     for p in (0.1, 0.25, 0.5, 1.0):
         stats = ModelStats.from_scores(scores, p, eta)
-        u2_bound = l2_bound_svdrs(stats, PARAMS, strict=False)
-        score_bound = score_bounds_svdrs(stats, PARAMS, strict=False)[0]
+        u2_bound = l2_bound_svdrs(stats, PARAMS)
+        score_bound = score_bounds_svdrs(stats, PARAMS)[0]
         u2_errs, score_errs = [], []
         for trial in range(100):
             mset = generate_ero(scores, EROParams(n=n, p=p, eta=eta, seed=45000 + trial))

@@ -165,7 +165,7 @@ class TestSvdRs:
         stats = ModelStats.from_scores(scores, p, eta)
         params = BoundParams(epsilon=0.5)
         precondition = l2_precondition_holds(stats, params)
-        bound = l2_bound_svdrs(stats, params, strict=False)
+        bound = l2_bound_svdrs(stats, params)
         rng = np.random.default_rng(99)
         wins = 0
         for trial in range(100):

@@ -10,6 +10,7 @@ from svdrank.baselines import (
     SVT_BLOCKS,
     SVT_EXTRA,
     CompletionConfig,
+    _soft_threshold,
     coherence,
     complete_matrix,
     least_squares_rank,
@@ -199,6 +200,66 @@ class TestCompletionOracle:
         mset = generate_ero(generate_scores("linear", n), EROParams(n=n, p=0.3, eta=0.7, seed=5))
         rank = complete_matrix(mset).effective_rank
         assert SVT_BLOCKS * (rank + SVT_EXTRA) >= n  # a basis warm-started from rank columns spans R^n
+
+
+def dense_soft_threshold(Y, lam):
+    U, s, Vt = np.linalg.svd(Y)
+    return (U * np.maximum(s - lam, 0.0)) @ Vt
+
+
+class TestSoftThreshold:
+    """``_soft_threshold`` against the soft-threshold of a full dense SVD of the same Y."""
+
+    @staticmethod
+    def low_rank_skew(n, rng):
+        A = rng.standard_normal((n, 2)) @ rng.standard_normal((2, n))
+        return A - A.T  # rank 4, singular values in two pairs
+
+    @staticmethod
+    def svd_shapes(Y, lam, V0, monkeypatch):
+        """Run ``_soft_threshold`` and return the input shape of every SVD it takes."""
+        shapes, svd = [], np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        US, V = _soft_threshold(Y, lam, V0)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return US, V, shapes
+
+    def test_low_rank_try_accepted(self, rng, monkeypatch):
+        n = 100
+        Y = self.low_rank_skew(n, rng)
+        lam = 0.5 * np.linalg.svd(Y, compute_uv=False)[3]
+        US, V, shapes = self.svd_shapes(Y, lam, np.zeros((n, 0)), monkeypatch)
+        assert V.shape == (n, 4)
+        assert shapes == [(SVT_BLOCKS * SVT_EXTRA, n)]  # the Ritz step only, no dense SVD
+        want = dense_soft_threshold(Y, lam)
+        assert np.linalg.norm(US @ V.T - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_full_rank_small_threshold_falls_back(self, rng, monkeypatch):
+        n = 200
+        Y = rng.standard_normal((n, n))
+        Y = Y - Y.T
+        lam = 1e-3 * np.linalg.norm(Y, 2)
+        US, V, shapes = self.svd_shapes(Y, lam, np.zeros((n, 0)), monkeypatch)
+        want = dense_soft_threshold(Y, lam)
+        assert V.shape[1] == np.linalg.matrix_rank(want)
+        assert shapes[-1] == (n, n)  # the dense fallback
+        assert np.linalg.norm(US @ V.T - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kept", [0, 6])
+    def test_one_truncated_try_then_dense(self, rng, monkeypatch, kept):
+        # a rejected try goes straight to the dense SVD; the block is never enlarged
+        n = 200
+        Y = rng.standard_normal((n, n))
+        Y = Y - Y.T
+        V0 = np.linalg.qr(rng.standard_normal((n, kept)))[0]
+        b = kept + SVT_EXTRA
+        _, _, shapes = self.svd_shapes(Y, 1e-3 * np.linalg.norm(Y, 2), V0, monkeypatch)
+        assert shapes == [(SVT_BLOCKS * b, n), (n, n)]
 
 
 class TestCoherence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svdrank import harness
+from svdrank.cli import main
 from svdrank.errors import ConfigError, InvalidParam, ParseError, SelfLoop
 from svdrank.harness import (
     evaluate_real,
@@ -58,6 +59,23 @@ class TestConfigParsing:
             parse_config_text("n = 10\np_grid = 1.5\ngamma_grid = 0\n")
         with pytest.raises(ConfigError):
             parse_config_text("n = 10\np_grid = 0.5\ngamma_grid = 0\ntrials = 0\n")
+
+    @pytest.mark.parametrize("grid", ["p_grid = 1.0, 1.0\ngamma_grid = 0",
+                                      "p_grid = 1.0\ngamma_grid = 0.1, 0.2, 0.1"])
+    def test_repeated_grid_values_rejected(self, grid):
+        # a repeated value would run its cell twice and count each trial twice
+        with pytest.raises(ConfigError, match="must not repeat"):
+            parse_config_text(f"n = 20\n{grid}\ntrials = 2\n")
+
+    def test_epsilon_out_of_range_rejected(self, tmp_path, capsys):
+        text = BASE_CONFIG + "\nmetrics = kendall, theory\nepsilon = 0.9\n"
+        with pytest.raises(ConfigError, match="epsilon"):
+            parse_config_text(text)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "epsilon must lie in (0, 1/2]" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestRunSweep:

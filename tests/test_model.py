@@ -127,4 +127,3 @@ def test_ero_params_validation():
         EROParams(n=5, p=1.5, eta=0.5)
     with pytest.raises(InvalidParam):
         EROParams(n=5, p=0.5, eta=-0.1)
-    assert EROParams(n=5, p=0.5, eta=0.3).gamma == pytest.approx(0.7)
