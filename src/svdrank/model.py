@@ -29,6 +29,11 @@ import numpy as np
 from .errors import GraphDisconnectedWarning, InvalidParam
 from .linalg import SkewSparseMatrix
 
+# Pairs whose presence uniforms generate_ero draws at once: a block is the
+# most whole rows that hold at most this many pairs, or one row when that
+# row alone holds more. Any value gives the same output.
+PAIRS_PER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ScoreVector:
@@ -99,20 +104,50 @@ def generate_ero(r: ScoreVector, params: EROParams) -> SkewSparseMatrix:
     Each unordered pair is present with probability p; a present pair
     carries r_i - r_j with probability eta and otherwise an independent
     U[-M, M] outlier with M = max_i r_i.
+
+    The presence uniforms are drawn one block of whole rows (about
+    ``PAIRS_PER_BLOCK`` pairs) at a time and only the hits are kept, so
+    memory is O(m + block) for m present pairs rather than O(n^2); time is
+    still one uniform per pair. Consecutive ``rng.random(k)`` calls
+    reproduce one large call bit for bit, so the random stream and the
+    output are those of a single draw over all n(n-1)/2 pairs.
     """
     if r.n != params.n:
         raise InvalidParam("score vector and parameter n disagree")
     n = params.n
     rng = np.random.default_rng(params.seed)
-    iu, ju = np.triu_indices(n, 1)
-    present = rng.random(iu.size) < params.p
-    i, j = iu[present], ju[present]
+    i, j = _present_pairs(rng, n, params.p)
     inlier = rng.random(i.size) < params.eta
     values = r.values[i] - r.values[j]
     outliers = int(np.count_nonzero(~inlier))
     if outliers:
         values[~inlier] = rng.uniform(-r.M, r.M, size=outliers)
     return SkewSparseMatrix(n=n, rows=i, cols=j, values=values)
+
+
+def _present_pairs(rng: np.random.Generator, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (i < j, row-major) of the pairs whose uniform falls below p.
+
+    Pair (i, j) has index starts[i] + j - i - 1 in row-major upper-triangle
+    order. Hits are kept as these indices, block by block; each row's hit
+    count then comes from one ``searchsorted`` over the row ends.
+    """
+    counts = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    hits = []
+    row = 0
+    while row < n - 1:
+        stop = max(row + 1, int(np.searchsorted(ends, starts[row] + PAIRS_PER_BLOCK, side="right")))
+        pos = np.flatnonzero(rng.random(ends[stop - 1] - starts[row]) < p)
+        pos += starts[row]
+        hits.append(pos)
+        row = stop
+    pos = np.concatenate(hits)
+    per_row = np.diff(np.searchsorted(pos, ends), prepend=0)
+    i = np.repeat(np.arange(n - 1), per_row)
+    j = pos - np.repeat(starts - np.arange(1, n), per_row)
+    return i, j
 
 
 def build_H(m: SkewSparseMatrix) -> SkewSparseMatrix:

@@ -43,7 +43,7 @@ from svdrank.theory import (
     u2_true,
 )
 
-from conftest import make_skew_dense, noiseless_matrix
+from matrix_helpers import make_skew_dense, noiseless_matrix
 
 PARAMS = BoundParams(epsilon=0.5)
 

@@ -23,7 +23,7 @@ from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
 from svdrank.model import EROParams, build_H, generate_ero, generate_scores
 
-from conftest import noiseless_matrix
+from matrix_helpers import noiseless_matrix
 
 
 class TestCenter:

@@ -21,7 +21,7 @@ from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
 from svdrank.model import EROParams, ScoreVector, generate_ero, generate_scores
 
-from conftest import noiseless_matrix
+from matrix_helpers import noiseless_matrix
 
 
 def random_connected_measurements(n, p, rng, scale=1.0):

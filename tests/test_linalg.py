@@ -23,7 +23,7 @@ from svdrank.linalg import (
 )
 from svdrank.model import EROParams, build_H, generate_ero, generate_scores
 
-from conftest import make_skew_dense, noiseless_matrix
+from matrix_helpers import make_skew_dense, noiseless_matrix
 
 
 def random_sparse(n, density, rng):

@@ -17,7 +17,7 @@ from svdrank.metrics import (
     weighted_upsets,
 )
 
-from conftest import noiseless_matrix
+from matrix_helpers import noiseless_matrix
 
 
 def kendall_bruteforce(a, b):

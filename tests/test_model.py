@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from svdrank import model
 from svdrank.errors import GraphDisconnectedWarning, InvalidParam
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.model import (
+    PAIRS_PER_BLOCK,
     EROParams,
     ScoreVector,
     build_H,
@@ -92,6 +96,74 @@ class TestGenerateEro:
         second = eta * p * diff ** 2 + (1 - eta) * p * M ** 2 / 3.0
         se = np.sqrt(np.maximum(second - expec ** 2, 1e-12) / trials)
         assert np.max(np.abs(mean - expec) / se) < 5.0
+
+
+def triu_generate_ero(r: ScoreVector, params: EROParams):
+    """Reference generator: one presence uniform per pair over all of ``np.triu_indices``."""
+    rng = np.random.default_rng(params.seed)
+    iu, ju = np.triu_indices(params.n, 1)
+    present = rng.random(iu.size) < params.p
+    i, j = iu[present], ju[present]
+    inlier = rng.random(i.size) < params.eta
+    values = r.values[i] - r.values[j]
+    outliers = int(np.count_nonzero(~inlier))
+    if outliers:
+        values[~inlier] = rng.uniform(-r.M, r.M, size=outliers)
+    return i, j, values
+
+
+def _pair_ends(n: int) -> np.ndarray:
+    return np.cumsum(np.arange(n - 1, 0, -1))
+
+
+class TestGenerateEroBlocks:
+    """The row-block draw against the one-call reference, byte for byte."""
+
+    @pytest.mark.parametrize("n, block", [
+        (2, PAIRS_PER_BLOCK),
+        (3, PAIRS_PER_BLOCK),
+        (400, PAIRS_PER_BLOCK),  # pair 2**16 falls inside row 230
+        (4, 6),                  # all 6 pairs in one full block
+        (9, 6),                  # 36 pairs, an exact multiple of the block
+        (10, 3),                 # rows 0-5 each hold more pairs than a block
+        (50, 7),
+    ])
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
+    def test_matches_triu_reference(self, monkeypatch, n, block, p):
+        monkeypatch.setattr(model, "PAIRS_PER_BLOCK", block)
+        scores = generate_scores("uniform01", n, seed=n)
+        for eta in (0.0, 0.6, 1.0):
+            for seed in (0, 1, 17, 2024):
+                params = EROParams(n=n, p=p, eta=eta, seed=seed)
+                mset = generate_ero(scores, params)
+                i, j, values = triu_generate_ero(scores, params)
+                assert np.array_equal(mset.rows, i)
+                assert np.array_equal(mset.cols, j)
+                assert np.array_equal(mset.values, values)
+
+    def test_grid_covers_block_edges(self):
+        # the reference grid above has a row straddling a real block edge,
+        # a pair count that is an exact multiple of the block, and rows
+        # longer than the block
+        ends = _pair_ends(400)
+        assert ends[-1] > PAIRS_PER_BLOCK and PAIRS_PER_BLOCK not in ends
+        assert _pair_ends(9)[-1] % 6 == 0
+        assert _pair_ends(10)[0] > 3
+
+    def test_memory_is_order_m_plus_block(self):
+        # n=10^4, p=10^-3: about 5*10^4 of 5*10^7 pairs are present. One
+        # uniform per pair would hold 400 MB; the output is about 1.2 MB
+        # (two int64 and one float64 per edge) and a block of uniforms 0.5 MB.
+        n = 10_000
+        scores = generate_scores("uniform01", n, seed=3)
+        tracemalloc.start()
+        try:
+            mset = generate_ero(scores, EROParams(n=n, p=1e-3, eta=0.8, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 40_000 < mset.num_entries < 60_000
+        assert peak < 6 * 2**20
 
 
 class TestBuildH:

@@ -31,7 +31,7 @@ from svdrank.theory import (
     wedin_delta,
 )
 
-from conftest import noiseless_matrix
+from matrix_helpers import noiseless_matrix
 
 PARAMS = BoundParams(epsilon=0.5)
 
