@@ -30,7 +30,6 @@ from .baselines import (
 from .harness import (
     ExperimentConfig,
     ResultRow,
-    evaluate_real,
     ingest_edge_list,
     load_config,
     run_sweep,

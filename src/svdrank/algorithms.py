@@ -19,7 +19,7 @@ invocation is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,26 +43,25 @@ from .metrics import count_upsets
 class RankingResult:
     """Estimated ranking plus the centered score estimate and diagnostics.
 
-    ``permutation`` maps rank position to item (best first) and is the
-    stable descending sort of ``score_estimate`` with ties broken by item
-    index. ``raw_scores`` is the unscaled ranking statistic (the in-span
-    unit vector, degree-rescaled for the normalized variant) and
-    ``direction`` the in-span unit vector itself; both are kept so scale and
-    subspace errors can be inspected after the fact.
+    ``permutation`` maps rank position to item (best first). It is not
+    passed in: it is derived from ``score_estimate`` as its stable
+    descending sort, ties broken by item index. ``direction`` is the in-span
+    unit vector of the spectral methods, kept so subspace errors can be
+    inspected after the fact. ``permutation`` and ``score_estimate`` are
+    read-only.
     """
 
-    permutation: np.ndarray
+    permutation: np.ndarray = field(init=False)
     score_estimate: np.ndarray
     beta: int
     tau: float
     method: str
     spectral: SpectralPair | None = None
     direction: np.ndarray | None = None
-    raw_scores: np.ndarray | None = None
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=np.int64)
         scores = np.asarray(self.score_estimate, dtype=np.float64)
+        perm = ranking_from_scores(scores)
         perm.setflags(write=False)
         scores.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
@@ -114,6 +113,14 @@ def recover_scale_ls(H: SkewSparseMatrix, s: np.ndarray) -> float:
     return float(H.values.sum()) / denom
 
 
+def _tau_or_nan(H: SkewSparseMatrix, s: np.ndarray) -> float:
+    """Median-of-ratios scale of ``s`` against H, or NaN when no ratio survives."""
+    try:
+        return recover_scale_median(compute_ratio_entries(H, s))
+    except EmptyRatios:
+        return math.nan
+
+
 def reconcile_sign(s: np.ndarray, H: SkewSparseMatrix) -> int:
     """Sign in {-1, +1} whose induced offsets give fewer upsets; tie -> +1."""
     up_pos = count_upsets(H, s)
@@ -126,19 +133,14 @@ def _scale_and_package(H: SkewSparseMatrix, s: np.ndarray, u_tilde: np.ndarray,
                        scale_from: SkewSparseMatrix | None) -> RankingResult:
     source = H if scale_from is None else scale_from
     beta = reconcile_sign(s, source)
-    try:
-        tau = recover_scale_median(compute_ratio_entries(source, s))
-    except EmptyRatios:
-        tau = math.nan
+    tau = _tau_or_nan(source, s)
     scores = center((tau if math.isfinite(tau) else 1.0) * s)
-    return RankingResult(permutation=ranking_from_scores(scores),
-                         score_estimate=scores, beta=beta, tau=tau,
-                         method=method, spectral=pair, direction=u_tilde,
-                         raw_scores=s)
+    return RankingResult(score_estimate=scores, beta=beta, tau=tau, method=method,
+                         spectral=pair, direction=u_tilde)
 
 
-def svd_rs(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
-           seed: int = 0, scale_from: SkewSparseMatrix | None = None) -> RankingResult:
+def svd_rs(H: SkewSparseMatrix, seed: int = 0,
+           scale_from: SkewSparseMatrix | None = None) -> RankingResult:
     """Rank and score n items from a skew-symmetric measurement matrix.
 
     Pipeline: top-2 SVD of H; project e/sqrt(n) onto the singular span;
@@ -146,27 +148,32 @@ def svd_rs(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     global sign by upset minimization and the global scale by the median of
     per-edge ratios; center. The measurement graph must be connected.
 
+    The top-2 SVD is :func:`top2_svd` at its default tolerance and
+    iteration cap, with its start vector seeded by ``seed``; it raises
+    NotConverged past that cap.
+
     ``scale_from`` restricts sign and scale recovery to a different edge set
     (used when H itself was densified by matrix completion: ratios must only
     use originally observed pairs).
     """
     if not H.is_connected:
         raise GraphDisconnected("measurement graph is not connected")
-    pair = top2_svd(H, tol=tol, max_iter=max_iter, seed=seed)
+    pair = top2_svd(H, seed=seed)
     e_unit = np.full(H.n, 1.0 / np.sqrt(H.n))
     u_bar = project_onto_span(e_unit, pair)
     u_tilde = orthonormal_complement_in_span(u_bar, pair)
     return _scale_and_package(H, u_tilde, u_tilde, pair, "svd_rs", scale_from)
 
 
-def svd_nrs(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
-            seed: int = 0, scale_from: SkewSparseMatrix | None = None) -> RankingResult:
+def svd_nrs(H: SkewSparseMatrix, seed: int = 0,
+            scale_from: SkewSparseMatrix | None = None) -> RankingResult:
     """Degree-normalized variant of :func:`svd_rs`.
 
     Works on D^{-1/2} H D^{-1/2} with D the absolute-degree diagonal, which
     helps under skewed degree distributions. The ranking statistic is
     D^{1/2} u_tilde, and scale recovery uses that same statistic. Requires
-    every node to have at least one measurement.
+    every node to have at least one measurement. ``seed`` and ``scale_from``
+    act as in :func:`svd_rs`.
     """
     d = H.abs_row_sums()
     if np.any(d <= 0.0):
@@ -175,7 +182,7 @@ def svd_nrs(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
         raise GraphDisconnected("measurement graph is not connected")
     d_isqrt = 1.0 / np.sqrt(d)
     H_ss = H.scaled(d_isqrt)
-    pair = top2_svd(H_ss, tol=tol, max_iter=max_iter, seed=seed)
+    pair = top2_svd(H_ss, seed=seed)
     ref = d_isqrt / np.linalg.norm(d_isqrt)
     u_bar = project_onto_span(ref, pair)
     u_tilde = orthonormal_complement_in_span(u_bar, pair)

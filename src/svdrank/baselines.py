@@ -35,16 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (
-    RankingResult,
-    center,
-    compute_ratio_entries,
-    ranking_from_scores,
-    recover_scale_median,
-)
+from .algorithms import RankingResult, _tau_or_nan, center
 from .errors import (
     DegenerateScores,
-    EmptyRatios,
     GraphDisconnected,
     InvalidParam,
     NotConverged,
@@ -57,23 +50,13 @@ SVT_EXTRA = 4    # Gaussian columns beside the warm start
 SVT_BLOCKS = 3   # Krylov blocks in the basis: Y S, (Y Y^T) Y S, (Y Y^T)^2 Y S
 
 
-def _tau_or_nan(H: SkewSparseMatrix, scores: np.ndarray) -> float:
-    try:
-        return recover_scale_median(compute_ratio_entries(H, scores))
-    except EmptyRatios:
-        return math.nan
-
-
 def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
     """Rank by centered row sums of the measurement matrix."""
     if H.n < 2:
         raise InvalidParam("need n >= 2")
-    sums = H.node_sums(H.values)
-    scores = center(sums)
-    return RankingResult(permutation=ranking_from_scores(scores),
-                         score_estimate=scores, beta=1,
-                         tau=_tau_or_nan(H, scores), method="rowsum",
-                         raw_scores=sums)
+    scores = center(H.node_sums(H.values))
+    return RankingResult(score_estimate=scores, beta=1, tau=_tau_or_nan(H, scores),
+                         method="rowsum")
 
 
 def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
@@ -119,10 +102,8 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
                                result=scores,
                                residual=float(np.sqrt(rs) / b_norm),
                                iterations=max_iter)
-    return RankingResult(permutation=ranking_from_scores(scores),
-                         score_estimate=scores, beta=1,
-                         tau=_tau_or_nan(H, scores), method="least_squares",
-                         raw_scores=scores)
+    return RankingResult(score_estimate=scores, beta=1, tau=_tau_or_nan(H, scores),
+                         method="least_squares")
 
 
 @dataclass(frozen=True)

@@ -226,18 +226,6 @@ def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
     return RankRun(H, outcome, results)
 
 
-def _completion_error(outcome: CompletionResult | SvdRankError | None) -> str:
-    """Row error for a completion that raised.
-
-    A completion that stops at ``max_iter`` still returns a matrix, and the
-    algorithms rank on it as ``svdrank rank --completion`` does, so it is not
-    an error.
-    """
-    if isinstance(outcome, SvdRankError):
-        return f"completion {type(outcome).__name__}: {outcome}"
-    return ""
-
-
 def _add_error(row: ResultRow, exc: SvdRankError) -> None:
     row.error = (row.error + "; " if row.error else "") + f"{type(exc).__name__}: {exc}"
 
@@ -277,7 +265,11 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
     mset = generate_ero(scores, EROParams(n=cfg.n, p=p, eta=eta, seed=ero_seed))
     run = complete_and_rank(mset, cfg.algorithms,
                             cfg.completion_cfg if cfg.completion else None, algo_seed)
-    completion_error = _completion_error(run.completion)
+    # A completion stopped at max_iter still returns a matrix that the
+    # algorithms rank on, as ``svdrank rank --completion`` does: not an error.
+    completion_error = ""
+    if isinstance(run.completion, SvdRankError):
+        completion_error = f"completion {type(run.completion).__name__}: {run.completion}"
 
     true_perm = ranking_from_scores(scores.values)
     rows = []
@@ -504,37 +496,6 @@ def _touched_and_first_untouched(m: SkewSparseMatrix) -> np.ndarray:
     gaps = np.flatnonzero(touched != np.arange(touched.size))
     first = int(gaps[0]) if gaps.size else touched.size
     return np.insert(touched, first, first)
-
-
-def evaluate_real(m: SkewSparseMatrix, algorithms: tuple[str, ...] = ALGORITHMS,
-                  completion: CompletionConfig | None = None, min_degree: int = 0,
-                  seed: int = 0) -> list[ResultRow]:
-    """Run algorithms on real measurements and report ground-truth-free metrics.
-
-    Upsets and weighted upsets are always computed against the (pruned)
-    measured offsets, not against completed entries. A seeded random-scores
-    baseline row is included for calibration; its expected upsets are about
-    half the comparable pairs.
-    """
-    pruned, _ = prune_and_restrict(m, min_degree=min_degree)
-    run = complete_and_rank(pruned, algorithms, completion, seed)
-    completion_error = _completion_error(run.completion)
-
-    rows = []
-    for name, result, runtime_ms in run.results:
-        row = ResultRow(algorithm=name, n=pruned.n, error=completion_error)
-        rows.append(row)
-        if isinstance(result, SvdRankError):
-            _add_error(row, result)
-            continue
-        row.runtime_ms = runtime_ms
-        row.upsets = float(count_upsets(run.H, result.score_estimate))
-        row.weighted_upsets = weighted_upsets(run.H, result.score_estimate)
-    random_scores = np.random.default_rng(seed).random(pruned.n)
-    rows.append(ResultRow(algorithm="random", n=pruned.n,
-                          upsets=float(count_upsets(run.H, random_scores)),
-                          weighted_upsets=weighted_upsets(run.H, random_scores)))
-    return rows
 
 
 _CONFIG_SCHEMA = {

@@ -2,8 +2,8 @@
 
 A measurement set is the edge list {i < j, value} of observed offsets, held
 in :class:`~svdrank.linalg.SkewSparseMatrix`: that one type validates the
-edges once, is unchanged the skew-symmetric measurement matrix H and alone
-knows the layout (``from_pairs``, ``offsets``, ``node_sums``, ``restrict``).
+edges once, serves unchanged as the skew-symmetric measurement matrix H, and
+alone knows the layout (``from_pairs``, ``offsets``, ``node_sums``, ``restrict``).
 
 Measurements follow an outliers model on an Erdos-Renyi graph: each of the
 n(n-1)/2 unordered pairs is observed independently with probability p, and

@@ -187,8 +187,7 @@ def linf_C_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, float]:
     return c_val, bound
 
 
-def rank_displacement_bound(stats: ModelStats, params: BoundParams,
-                            upsilon: float) -> float:
+def rank_displacement_bound(stats: ModelStats, upsilon: float) -> float:
     """Maximum-displacement rank bound 4 ||r - alpha e|| Upsilon / rho."""
     if stats.rho <= 0.0:
         raise ZeroGap("scores contain ties; displacement bound undefined")
@@ -300,8 +299,7 @@ def evaluate_all_bounds(scores: ScoreVector, p: float, eta: float,
         "nrs_score_l2": (score_l2_bound_svdnrs(nstats), nrs_ok),
     }
     if stats.rho > 0:
-        table["rank_max_displacement"] = (rank_displacement_bound(stats, params, upsilon),
-                                          linf_ok)
+        table["rank_max_displacement"] = (rank_displacement_bound(stats, upsilon), linf_ok)
     return BoundReport(values={name: value for name, (value, _) in table.items()},
                        preconditions_ok={name: ok for name, (_, ok) in table.items()})
 

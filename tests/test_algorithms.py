@@ -19,6 +19,7 @@ from svdrank.errors import (
     IsolatedNode,
     ZeroDenominator,
 )
+from svdrank.harness import ALGORITHMS, _run_algorithm
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
 from svdrank.model import EROParams, build_H, generate_ero, generate_scores
@@ -224,3 +225,13 @@ class TestSvdNrs:
 def test_ranking_tie_break_is_stable():
     perm = ranking_from_scores(np.array([1.0, 2.0, 2.0, 0.0]))
     assert list(perm) == [1, 2, 0, 3]
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_permutation_is_read_only_sort_of_scores(name):
+    scores = generate_scores("uniform01", 60, seed=3)
+    H = build_H(generate_ero(scores, EROParams(n=60, p=0.5, eta=0.7, seed=4)))
+    res = _run_algorithm(name, H, seed=0, scale_from=None)
+    assert res.method == name
+    assert np.array_equal(res.permutation, np.argsort(-res.score_estimate, kind="stable"))
+    assert not res.permutation.flags.writeable

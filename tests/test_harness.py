@@ -7,7 +7,6 @@ from svdrank import harness
 from svdrank.cli import main
 from svdrank.errors import ConfigError, InvalidParam, ParseError, SelfLoop
 from svdrank.harness import (
-    evaluate_real,
     ingest_edge_list,
     parse_config_text,
     prune_and_restrict,
@@ -15,7 +14,6 @@ from svdrank.harness import (
     write_csv,
 )
 from svdrank.linalg import SkewSparseMatrix
-from svdrank.model import EROParams, generate_ero, generate_scores
 
 BASE_CONFIG = """
 # minimal sweep
@@ -158,10 +156,6 @@ completion_max_iter = 2
         assert len(raw) == 6
         assert all(r.error == "" and r.kendall is not None for r in raw)
         assert all(r.trials_ok == cfg.trials for r in rows if r.agg)
-        scores = generate_scores("uniform01", 40, seed=9)
-        mset = generate_ero(scores, EROParams(n=40, p=0.3, eta=0.8, seed=9))
-        real = evaluate_real(mset, algorithms=("svd_rs",), completion=cfg.completion_cfg)
-        assert all(r.error == "" and r.upsets is not None for r in real)
 
     def test_theory_columns(self):
         cfg = parse_config_text("""
@@ -407,22 +401,6 @@ class TestRealEvaluation:
         pruned, mapping = prune_and_restrict(mset)
         assert pruned.n == 3
         assert list(mapping) == [0, 1, 2]
-
-    def test_noiseless_real_path_zero_upsets(self):
-        scores = generate_scores("uniform01", 40, seed=2)
-        mset = generate_ero(scores, EROParams(n=40, p=1.0, eta=1.0, seed=3))
-        rows = evaluate_real(mset, algorithms=("svd_rs",))
-        svd_row = next(r for r in rows if r.algorithm == "svd_rs")
-        assert svd_row.upsets == 0
-        assert svd_row.error == ""
-
-    def test_random_baseline_near_half(self):
-        scores = generate_scores("uniform01", 40, seed=4)
-        mset = generate_ero(scores, EROParams(n=40, p=1.0, eta=1.0, seed=5))
-        rows = evaluate_real(mset, algorithms=("rowsum",), seed=11)
-        rand_row = next(r for r in rows if r.algorithm == "random")
-        frac = rand_row.upsets / mset.num_entries
-        assert 0.35 < frac < 0.65
 
 
 def _prune_oracle(m, min_degree):

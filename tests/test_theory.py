@@ -132,18 +132,18 @@ class TestLinfBound:
 
 class TestRankDisplacementBound:
     def test_zero_upsilon(self):
-        assert rank_displacement_bound(stats_for(100, 0.5, 0.9), PARAMS, 0.0) == 0.0
+        assert rank_displacement_bound(stats_for(100, 0.5, 0.9), 0.0) == 0.0
 
     def test_unit_gap(self):
         stats = stats_for(100, 0.5, 0.9)  # linear scores: rho = 1
         assert stats.rho == 1.0
-        assert rank_displacement_bound(stats, PARAMS, 2.0) == pytest.approx(
+        assert rank_displacement_bound(stats, 2.0) == pytest.approx(
             8.0 * stats.dev_norm)
 
     def test_tied_scores(self):
         stats = ModelStats(n=4, p=0.5, eta=0.9, M=1.0, alpha=0.5, dev_norm=1.0, rho=0.0)
         with pytest.raises(ZeroGap):
-            rank_displacement_bound(stats, PARAMS, 1.0)
+            rank_displacement_bound(stats, 1.0)
 
 
 class TestScoreBounds:
