@@ -20,12 +20,16 @@ its two left singular vectors span the real invariant subspace of +-i sigma_1.
 Titley-Peloquin & Varah, SIMAX 2016): a single real start vector reaches it,
 since +-i sigma_1 are simple eigenvalues of H, and the zero-diagonal
 recurrence H q_k = beta_k q_{k+1} - beta_{k-1} q_{k-1} costs one matvec per
-basis vector. The solver keeps the basis orthonormal by full
-reorthogonalisation, takes the SVD of the small skew projection V^T H V every
-four steps (Rayleigh-Ritz), and restarts onto its leading Ritz vectors once
-the basis is full (Krylov-Schur, Stewart 2001). A Krylov method needs about
-sqrt(1/gap) steps where power iteration needs about 1/gap, and the basis
-costs O(n) memory per column.
+basis vector. That recurrence is Golub-Kahan bidiagonalisation in disguise:
+H maps the even-numbered basis vectors into the span of the odd-numbered ones
+and back, so the small skew projection V^T H V couples only even with odd
+columns, and every Ritz pair comes from the SVD of the half-size block
+between them. The solver keeps the basis orthonormal by full
+reorthogonalisation, takes that block's SVD every four steps (Rayleigh-Ritz),
+and restarts onto its leading Ritz pairs once the basis is full
+(Krylov-Schur, Stewart 2001; Baglama & Reichel, SISC 2005, for the
+bidiagonal form). A Krylov method needs about sqrt(1/gap) steps where power
+iteration needs about 1/gap, and the basis costs O(n) memory per column.
 """
 
 from __future__ import annotations
@@ -232,6 +236,7 @@ class SpectralPair:
     iterations: int = 0
     residual: float = 0.0
     sigma3: float = float("nan")  # lower bound on the third singular value, if known
+    matvecs: int = 0  # products with H that the solver took
 
     def __post_init__(self):
         u1 = np.asarray(self.u1, dtype=np.float64)
@@ -258,11 +263,15 @@ class SpectralPair:
 
 # Lanczos sizes for top2_svd: the basis holds at most LANCZOS_BASIS vectors
 # whose products are known, plus the next one; a thick restart then keeps
-# the LANCZOS_KEEP leading Ritz vectors, an even count, so that no pair of
-# Ritz values +-i theta is split. The basis and its products cost
+# the LANCZOS_KEEP / 2 leading Ritz pairs. The basis and its products cost
 # O(n * LANCZOS_BASIS). An iteration is LANCZOS_STEPS steps, one matvec
-# each, followed by one Rayleigh-Ritz check.
-LANCZOS_BASIS = 64
+# each, followed by one Rayleigh-Ritz check. Basis vector j lies on side
+# j mod 2 (see _ritz_pairs): each step, a breakdown refill included, puts its
+# vector opposite the previous one, and a restart puts Ritz pair i in
+# columns 2i and 2i + 1 and moves the next vector from column k to column
+# LANCZOS_KEEP, where k is 0 or LANCZOS_KEEP plus a multiple of
+# LANCZOS_STEPS. Both constants are even, so that vector keeps its side.
+LANCZOS_BASIS = 40
 LANCZOS_KEEP = 16
 LANCZOS_STEPS = 4
 # A new basis vector left with at most this share of the norm of its
@@ -294,6 +303,25 @@ def _random_direction(V: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             return w / norm
 
 
+def _ritz_pairs(S: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of B = S[0::2, 1::2] and the leading ``pairs`` Ritz pairs of S.
+
+    S is k x k skew and couples only even with odd indices; its entries
+    between two even or two odd indices are taken to be rounding and are
+    not read. With B = X diag(sigma) W^T, S maps x_j on the even indices to
+    -sigma_j w_j on the odd ones and w_j to sigma_j x_j, so together they
+    span the invariant subspace of +-i sigma_j: S has each sigma_j twice,
+    plus one zero for each even index beyond the odd ones. Returns sigma,
+    descending, and the orthonormal k x (2 ``pairs``) Y whose columns 2j and
+    2j + 1 are x_j and w_j, each zero on the other side.
+    """
+    X, sigma, Wt = np.linalg.svd(S[0::2, 1::2], full_matrices=False)
+    Y = np.zeros((S.shape[0], 2 * pairs))
+    Y[0::2, 0::2] = X[:, :pairs]
+    Y[1::2, 1::2] = Wt[:pairs].T
+    return sigma, Y
+
+
 def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
              seed: int = 0) -> SpectralPair:
     """Dominant singular pair of H by restarted Lanczos on H itself.
@@ -305,15 +333,21 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     most ``BREAKDOWN`` of the product's norm is a breakdown, and a seeded
     Gaussian direction replaces it; that step still spent its matvec. An
     iteration is ``LANCZOS_STEPS`` (four) steps, so it makes exactly four
-    matvecs, followed by a Rayleigh-Ritz check: the SVD of the skew part of
-    G, whose top pair gives u1, u2, sigma1 and sigma2 and whose next pair
-    gives sigma3. The only exception to four matvecs per iteration is a
-    basis that already spans all of R^n (n <= ``LANCZOS_BASIS``): the
-    projection is then exact and no further product is taken. When the
+    matvecs, followed by a Rayleigh-Ritz check. The basis alternates between
+    two chains that H maps into each other (the even and the odd columns),
+    so the skew part S of G couples only the two, and the check takes the
+    SVD of the block between them (see ``_ritz_pairs``): its top pair gives
+    u1, u2 and sigma1 = sigma2, and its second singular value gives sigma3.
+    A refill after a breakdown goes opposite the previous vector like any
+    other; it couples to the earlier basis only at the ``BREAKDOWN`` level,
+    so either side would keep S bipartite. The only exception to four
+    matvecs per iteration is a basis that already spans all of R^n
+    (n <= ``LANCZOS_BASIS``): the projection is then exact and no further
+    product is taken. When the
     next iteration would exceed ``LANCZOS_BASIS`` vectors, a thick restart
-    (Krylov-Schur) keeps the ``LANCZOS_KEEP`` leading Ritz vectors, whose
+    (Krylov-Schur) keeps the ``LANCZOS_KEEP`` / 2 leading Ritz pairs, whose
     products are the same combinations of the stored ones, so no matvec is
-    spent on it.
+    spent on it. The returned ``matvecs`` counts the products taken.
 
     ``tol`` bounds the relative residual ||(-H^2)u - sigma^2 u|| / sigma^2
     of -H^2. With U = [u1 u2], H U = U M + R for the 2 x 2 skew
@@ -322,13 +356,15 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     sigma1 and its Ritz value. The check estimates ||R|| from the last row
     of G; once the estimate passes, ||R|| is measured from the stored
     products, and the pair converges when 2 ||R|| / sigma1 <= ``tol``. That
-    measured value is the returned ``residual``.
+    measured value is the returned ``residual``, so the same-side entries
+    that the block leaves out cannot let an unconverged pair through.
 
     The start vector is seeded Gaussian, so runs are reproducible.
     ``sigma3`` is a lower bound on the third singular value by Cauchy
-    interlacing for the Hermitian iH (nan while the basis has two vectors).
-    Raises DegenerateSpectrum for a numerically zero matrix and NotConverged
-    (carrying the partial result) when ``max_iter`` is exhausted.
+    interlacing for the Hermitian iH: 0 when the block has a single singular
+    value, nan while the basis has two vectors. Raises DegenerateSpectrum
+    for a numerically zero matrix and NotConverged (carrying the partial
+    result) when ``max_iter`` is exhausted.
     """
     if H.n < 2:
         raise InvalidParam("need n >= 2")
@@ -349,11 +385,13 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     V[:, 0] = start / np.linalg.norm(start)
 
     k = 0  # basis vectors whose products are known
+    matvecs = 0
     for sweep in range(1, max_iter + 1):
         for _ in range(LANCZOS_STEPS):
             if k == n:  # the basis spans R^n
                 break
             AV[:, k] = H.matvec(V[:, k])
+            matvecs += 1
             w, G[:k + 1, k] = _orthogonalise(AV[:, k], V[:, :k + 1])
             k += 1
             if k < n:
@@ -362,10 +400,11 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
                     G[k, k - 1], V[:, k] = beta, w / beta
                 else:
                     G[k, k - 1], V[:, k] = 0.0, _random_direction(V[:, :k], rng)
+        restart = k < n and k + LANCZOS_STEPS > LANCZOS_BASIS
         S = 0.5 * (G[:k, :k] - G[:k, :k].T)
-        Y, theta, _ = np.linalg.svd(S)
+        theta, Y = _ritz_pairs(S, LANCZOS_KEEP // 2 if restart else 1)
         # H V Y = V S Y + v g^T Y with g the next vector's row of G, and the
-        # top two columns of Y span an invariant subspace of S, so the
+        # first two columns of Y span an invariant subspace of S, so the
         # residual R of that pair is v times g^T Y[:, :2].
         estimate = 2.0 * np.abs(G[k, :k] @ Y[:, :2]).max() / max(theta[0], floor)
         if sweep == max_iter or estimate <= tol:
@@ -376,20 +415,22 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
             residual = 2.0 * np.linalg.norm(R, axis=0).max() / max(theta[0], floor)
             if residual <= tol or sweep == max_iter:
                 break
-        if k < n and k + LANCZOS_STEPS > LANCZOS_BASIS:  # thick restart
-            keep = Y[:, :LANCZOS_KEEP]
-            V[:, :LANCZOS_KEEP] = V[:, :k] @ keep
+        if restart:
+            V[:, :LANCZOS_KEEP] = V[:, :k] @ Y
             V[:, LANCZOS_KEEP] = V[:, k]
-            AV[:, :LANCZOS_KEEP] = AV[:, :k] @ keep
-            row = G[k, :k] @ keep
+            AV[:, :LANCZOS_KEEP] = AV[:, :k] @ Y
+            row = G[k, :k] @ Y
             G[:k + 1, :k] = 0.0
-            G[:LANCZOS_KEEP, :LANCZOS_KEEP] = keep.T @ S @ keep
+            G[:LANCZOS_KEEP, :LANCZOS_KEEP] = Y.T @ S @ Y
             G[LANCZOS_KEEP, :LANCZOS_KEEP] = row
             k = LANCZOS_KEEP
+    if theta.size > 1:
+        sigma3 = float(theta[1])
+    else:
+        sigma3 = 0.0 if k > 2 else float("nan")
     pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(theta[0]),
-                        sigma2=float(theta[1]),
-                        sigma3=float(theta[2]) if k > 2 else float("nan"),
-                        iterations=sweep, residual=float(residual))
+                        sigma2=float(theta[0]), sigma3=sigma3, iterations=sweep,
+                        residual=float(residual), matvecs=matvecs)
     if pair.sigma1 <= tol * scale * n:
         raise DegenerateSpectrum("top singular value is numerically zero")
     if residual > tol:

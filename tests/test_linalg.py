@@ -12,10 +12,12 @@ from svdrank.errors import (
     NotConverged,
     ZeroProjection,
 )
+from svdrank import linalg
 from svdrank.linalg import (
     LANCZOS_BASIS,
     SkewSparseMatrix,
     SpectralPair,
+    _ritz_pairs,
     component_labels,
     orthonormal_complement_in_span,
     project_onto_span,
@@ -38,11 +40,14 @@ def subspace_sine(pair, U):
     return np.linalg.norm(U - span @ (span.T @ U), 2)
 
 
-def skew_with_singular_values(pairs, rng):
-    """Dense skew matrix Q B Q^T whose singular values are ``pairs``, each twice."""
-    n = 2 * len(pairs)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    B = np.zeros((n, n))
+def skew_with_singular_values(pairs, rng, n=None):
+    """Dense n x n skew matrix Q B Q^T whose nonzero singular values are ``pairs``, each twice.
+
+    n defaults to 2 len(pairs), where the matrix has full rank.
+    """
+    r = 2 * len(pairs)
+    Q, _ = np.linalg.qr(rng.standard_normal((n or r, r)))
+    B = np.zeros((r, r))
     for k, s in enumerate(pairs):
         B[2 * k, 2 * k + 1], B[2 * k + 1, 2 * k] = s, -s
     dense = Q @ B @ Q.T
@@ -349,6 +354,103 @@ class TestBlockLanczos:
         assert a.iterations == b.iterations and a.residual == b.residual
         assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
         assert (a.sigma1, a.sigma2, a.sigma3) == (b.sigma1, b.sigma2, b.sigma3)
+
+    def test_matvecs_field_counts_products(self, count_matvecs):
+        restarting = SkewSparseMatrix.from_dense(
+            skew_with_singular_values(np.linspace(1.0, 0.5, 75), np.random.default_rng(5)))
+        pair = top2_svd(restarting, tol=1e-12, max_iter=5000)
+        assert pair.matvecs == len(count_matvecs) == 4 * pair.iterations > LANCZOS_BASIS
+        count_matvecs.clear()
+        with pytest.raises(NotConverged) as info:
+            top2_svd(restarting, max_iter=12)
+        assert info.value.result.matvecs == len(count_matvecs) == 48
+        # n <= LANCZOS_BASIS: the basis spans R^n after n products and takes no more.
+        count_matvecs.clear()
+        spanning = SkewSparseMatrix.from_dense(make_skew_dense(7, np.random.default_rng(2)))
+        pair = top2_svd(spanning, tol=1e-12, max_iter=5000)
+        assert pair.matvecs == len(count_matvecs) == 7 < 4 * pair.iterations
+        count_matvecs.clear()
+        pair = top2_svd(noiseless_matrix(np.random.default_rng(3).random(50)))  # rank 2: breaks down
+        assert pair.matvecs == len(count_matvecs) == 4
+
+    def test_rank24_refills_then_restarts(self, monkeypatch, count_matvecs):
+        # Rank 24 with a tight top gap: the Krylov space of the start vector is
+        # invariant at 25 vectors, so the basis breaks down and is refilled
+        # before it fills and restarts, and again after the restart. A
+        # tolerance below rounding keeps the solver going through both.
+        refills = []
+        drawn = linalg._random_direction
+
+        def recorded(V, rng):
+            refills.append(V.shape[1])
+            return drawn(V, rng)
+
+        monkeypatch.setattr(linalg, "_random_direction", recorded)
+        dense = skew_with_singular_values(np.r_[1.0, 0.999, np.linspace(0.9, 0.1, 10)],
+                                          np.random.default_rng(0), n=150)
+        with pytest.raises(NotConverged) as info:
+            top2_svd(SkewSparseMatrix.from_dense(dense), tol=1e-17, max_iter=15)
+        partial = info.value.result
+        assert refills[0] == 25 < LANCZOS_BASIS < 4 * partial.iterations
+        assert partial.matvecs == len(count_matvecs) == 60
+        U, S, _ = np.linalg.svd(dense)
+        assert subspace_sine(partial, U[:, :2]) < 1e-8
+        assert partial.sigma1 == pytest.approx(S[0], rel=1e-12)
+        assert partial.sigma3 <= S[2] * (1 + 1e-12)
+
+    def test_memory_is_linear_in_n_and_m(self, rng):
+        n = 20_000
+        i, j = rng.integers(0, n, size=(2, 400_000))
+        off = i != j
+        H = SkewSparseMatrix.from_pairs(n, i[off], j[off], rng.standard_normal(int(off.sum())))
+        tracemalloc.start()
+        try:
+            # Gaussian values leave no gap: twelve iterations fill and restart the basis.
+            with pytest.raises(NotConverged):
+                top2_svd(H, max_iter=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The basis and its products, plus a few m-entry temporaries of the matvec.
+        assert peak < 8 * (2 * (LANCZOS_BASIS + 2) * n + 4 * H.num_entries)
+
+
+def bipartite_skew(n_even, n_odd, sigma, rng, noise=0.0):
+    """Skew S with S[0::2, 1::2] = X diag(sigma) W^T and Gaussian same-side noise of size ``noise``."""
+    k = n_even + n_odd
+    X, _ = np.linalg.qr(rng.standard_normal((n_even, len(sigma))))
+    W, _ = np.linalg.qr(rng.standard_normal((n_odd, len(sigma))))
+    S = make_skew_dense(k, rng) * noise
+    S[0::2, 1::2] = (X * sigma) @ W.T
+    S[1::2, 0::2] = -S[0::2, 1::2].T
+    return S
+
+
+class TestRitzPairs:
+    """_ritz_pairs against the full SVD of the skew projection."""
+
+    @pytest.mark.parametrize("n_even, n_odd", [(1, 1), (2, 1), (2, 2), (3, 2), (9, 8), (20, 20)])
+    @pytest.mark.parametrize("noise", [0.0, 1e-16])
+    def test_matches_full_svd(self, rng, n_even, n_odd, noise):
+        for graded in (False, True):
+            sigma = 3.0 * (np.geomspace(1.0, 1e-18, n_odd) if graded
+                           else np.sort(rng.random(n_odd))[::-1])
+            S = bipartite_skew(n_even, n_odd, sigma, rng, noise)
+            theta, Y = _ritz_pairs(S, n_odd)
+            full = np.linalg.svd(S, compute_uv=False)
+            expected = np.concatenate([np.repeat(theta, 2), np.zeros(n_even - n_odd)])
+            assert np.abs(full - expected).max() <= 1e-13 * theta[0]
+            assert np.abs(Y.T @ Y - np.eye(2 * n_odd)).max() <= 1e-13
+            for j in range(n_odd):
+                P = Y[:, 2 * j:2 * j + 2]
+                SP = S @ P
+                assert np.linalg.norm(SP - P @ (P.T @ SP)) <= 1e-13 * theta[0]
+
+    def test_returns_only_the_pairs_asked_for(self, rng):
+        S = bipartite_skew(8, 8, np.linspace(2.0, 1.0, 8), rng)
+        theta, Y = _ritz_pairs(S, 1)
+        assert theta.shape == (8,) and Y.shape == (16, 2)
+        assert np.array_equal(Y[1::2, 0], np.zeros(8)) and np.array_equal(Y[0::2, 1], np.zeros(8))
 
 
 class TestProjection:
