@@ -39,7 +39,6 @@ from .linalg import (
     SkewSparseMatrix,
     SpectralPair,
     orthonormal_complement_in_span,
-    project_onto_span,
     top2_svd,
 )
 from .metrics import (

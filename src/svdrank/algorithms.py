@@ -1,11 +1,13 @@
 """Spectral ranking-and-synchronization pipelines with scale recovery.
 
 Both pipelines share the same skeleton: take the top-2 left singular
-subspace of the (possibly degree-normalized) measurement matrix, project
-the constant direction onto it, and rank by the in-span unit vector
-orthogonal to that projection. The global sign is reconciled against the
-measurements by minimizing upsets, and the global scale by the median of
-per-edge ratios between measured and estimated offsets.
+subspace of the (possibly degree-normalized) measurement matrix and rank
+by the in-span unit vector orthogonal to the projection of a reference
+vector onto it: the constant vector, or D^{-1/2} e after normalization.
+Two inner products with the reference give that vector. The global sign
+is reconciled against the measurements by minimizing upsets, and the
+global scale by the median of per-edge ratios between measured and
+estimated offsets.
 
 The recovered scale carries the orientation of the final scores: a negative
 median ratio flips the score vector, which is exactly what happens on
@@ -33,7 +35,6 @@ from .linalg import (
     SkewSparseMatrix,
     SpectralPair,
     orthonormal_complement_in_span,
-    project_onto_span,
     top2_svd,
 )
 from .metrics import count_upsets
@@ -143,10 +144,10 @@ def svd_rs(H: SkewSparseMatrix, seed: int = 0,
            scale_from: SkewSparseMatrix | None = None) -> RankingResult:
     """Rank and score n items from a skew-symmetric measurement matrix.
 
-    Pipeline: top-2 SVD of H; project e/sqrt(n) onto the singular span;
-    take the in-span unit vector orthogonal to that projection; resolve the
-    global sign by upset minimization and the global scale by the median of
-    per-edge ratios; center. The measurement graph must be connected.
+    Pipeline: top-2 SVD of H; take the in-span unit vector orthogonal to
+    the projection of the constant vector e onto the singular span; resolve
+    the global sign by upset minimization and the global scale by the median
+    of per-edge ratios; center. The measurement graph must be connected.
 
     The top-2 SVD is :func:`top2_svd` at its default tolerance and
     iteration cap, with its start vector seeded by ``seed``; it raises
@@ -159,9 +160,7 @@ def svd_rs(H: SkewSparseMatrix, seed: int = 0,
     if not H.is_connected:
         raise GraphDisconnected("measurement graph is not connected")
     pair = top2_svd(H, seed=seed)
-    e_unit = np.full(H.n, 1.0 / np.sqrt(H.n))
-    u_bar = project_onto_span(e_unit, pair)
-    u_tilde = orthonormal_complement_in_span(u_bar, pair)
+    u_tilde = orthonormal_complement_in_span(np.ones(H.n), pair)
     return _scale_and_package(H, u_tilde, u_tilde, pair, "svd_rs", scale_from)
 
 
@@ -183,8 +182,6 @@ def svd_nrs(H: SkewSparseMatrix, seed: int = 0,
     d_isqrt = 1.0 / np.sqrt(d)
     H_ss = H.scaled(d_isqrt)
     pair = top2_svd(H_ss, seed=seed)
-    ref = d_isqrt / np.linalg.norm(d_isqrt)
-    u_bar = project_onto_span(ref, pair)
-    u_tilde = orthonormal_complement_in_span(u_bar, pair)
+    u_tilde = orthonormal_complement_in_span(d_isqrt, pair)
     s = np.sqrt(d) * u_tilde
     return _scale_and_package(H, s, u_tilde, pair, "svd_nrs", scale_from)

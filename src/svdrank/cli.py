@@ -62,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--input", required=True)
     comp.add_argument("--n", type=int, default=None)
     comp.add_argument("--one-indexed", action="store_true")
-    comp.add_argument("--max-iter", type=int, default=500)
-    comp.add_argument("--tol", type=float, default=1e-6)
+    comp.add_argument("--max-iter", type=int, default=CompletionConfig.max_iter)
+    comp.add_argument("--tol", type=float, default=CompletionConfig.tol)
     comp.add_argument("--out", default="-")
 
     bounds = sub.add_parser("bounds", help="evaluate theoretical bounds")

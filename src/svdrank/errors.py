@@ -31,7 +31,7 @@ class NotConverged(SvdRankError):
 
 
 class ZeroProjection(SvdRankError):
-    """The all-ones direction is orthogonal to the recovered subspace."""
+    """The reference direction is orthogonal to the recovered subspace."""
 
 
 class GraphDisconnected(SvdRankError):

@@ -340,16 +340,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
              for t in range(cfg.trials)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_run_cell_star, [(cfg, *c) for c in cells]))
+            chunks = list(pool.map(_run_cell, [cfg] * len(cells), *zip(*cells)))
     else:
         chunks = [_run_cell(cfg, *c) for c in cells]
     rows = [row for chunk in chunks for row in chunk]
     rows.extend(_aggregate(rows, cfg))
     return rows
-
-
-def _run_cell_star(args):
-    return _run_cell(*args)
 
 
 def ingest_edge_list(path: str, one_indexed: bool = False,
@@ -567,11 +563,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     parsed = {k: convert(k, _CONFIG_SCHEMA[k]) for k in raw}
     if "n" not in parsed or "p_grid" not in parsed or "gamma_grid" not in parsed:
         raise ConfigError("config requires at least: n, p_grid, gamma_grid")
-    comp_kwargs = {}
-    for knob in ("step", "threshold", "decay", "max_iter", "tol"):
-        key = f"completion_{knob}"
-        if key in parsed:
-            comp_kwargs[knob] = parsed.pop(key)
+    comp_kwargs = {key.removeprefix("completion_"): parsed.pop(key)
+                   for key in list(parsed) if key.startswith("completion_")}
     if comp_kwargs:
         parsed["completion_cfg"] = CompletionConfig(**comp_kwargs)
     return ExperimentConfig(**parsed)

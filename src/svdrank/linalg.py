@@ -30,6 +30,10 @@ and restarts onto its leading Ritz pairs once the basis is full
 (Krylov-Schur, Stewart 2001; Baglama & Reichel, SISC 2005, for the
 bidiagonal form). A Krylov method needs about sqrt(1/gap) steps where power
 iteration needs about 1/gap, and the basis costs O(n) memory per column.
+
+``orthonormal_complement_in_span`` turns the pair into the ranking
+direction: the in-span unit vector orthogonal to the projection of a
+reference vector, from that vector's two inner products with u1 and u2.
 """
 
 from __future__ import annotations
@@ -232,7 +236,6 @@ class SpectralPair:
     u1: np.ndarray
     u2: np.ndarray
     sigma1: float
-    sigma2: float
     iterations: int = 0
     residual: float = 0.0
     sigma3: float = float("nan")  # lower bound on the third singular value, if known
@@ -247,13 +250,20 @@ class SpectralPair:
             raise InvalidParam("singular vectors must have unit norm")
         if abs(float(u1 @ u2)) > 1e-10:
             raise InvalidParam("singular vectors must be orthogonal")
-        if not (self.sigma1 >= self.sigma2 >= 0.0):
-            raise InvalidParam("need sigma1 >= sigma2 >= 0")
-        if self.sigma3 > self.sigma2 or self.sigma3 < 0.0:
-            raise InvalidParam("need sigma2 >= sigma3 >= 0 when sigma3 is known")
+        if self.sigma3 > self.sigma1 or self.sigma3 < 0.0:
+            raise InvalidParam("need sigma1 >= sigma3 >= 0 when sigma3 is known")
         for name, arr in (("u1", u1), ("u2", u2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def sigma2(self) -> float:
+        """The second singular value, which equals ``sigma1``.
+
+        A skew H has every singular value twice (its eigenvalues come in
+        pairs +-i sigma_k), so u1 and u2 share one singular value.
+        """
+        return self.sigma1
 
     @property
     def basis(self) -> np.ndarray:
@@ -337,7 +347,8 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     two chains that H maps into each other (the even and the odd columns),
     so the skew part S of G couples only the two, and the check takes the
     SVD of the block between them (see ``_ritz_pairs``): its top pair gives
-    u1, u2 and sigma1 = sigma2, and its second singular value gives sigma3.
+    u1, u2 and their shared singular value sigma1, and its second singular
+    value gives sigma3.
     A refill after a breakdown goes opposite the previous vector like any
     other; it couples to the earlier basis only at the ``BREAKDOWN`` level,
     so either side would keep S bipartite. The only exception to four
@@ -428,9 +439,8 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
         sigma3 = float(theta[1])
     else:
         sigma3 = 0.0 if k > 2 else float("nan")
-    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(theta[0]),
-                        sigma2=float(theta[0]), sigma3=sigma3, iterations=sweep,
-                        residual=float(residual), matvecs=matvecs)
+    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(theta[0]), sigma3=sigma3,
+                        iterations=sweep, residual=float(residual), matvecs=matvecs)
     if pair.sigma1 <= tol * scale * n:
         raise DegenerateSpectrum("top singular value is numerically zero")
     if residual > tol:
@@ -439,35 +449,25 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
     return pair
 
 
-def project_onto_span(v: np.ndarray, basis: SpectralPair) -> np.ndarray:
-    """Orthogonal projection U U^T v onto span{u1, u2}."""
+def orthonormal_complement_in_span(v: np.ndarray, basis: SpectralPair) -> np.ndarray:
+    """Unit vector inside span{u1, u2} orthogonal to the projection of ``v`` onto it.
+
+    With a = u1 . v and b = u2 . v, the projection is a u1 + b u2 and the
+    result is (-b u1 + a u2) / hypot(a, b); a ``v`` already in the span
+    gives the unit vector orthogonal to ``v`` itself. The overall sign is
+    arbitrary; callers resolve it downstream. Raises ZeroProjection when
+    hypot(a, b) <= 1e-12 ||v||, which signals that the reference direction
+    is orthogonal to the recovered subspace and the spectral estimate is
+    unusable.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != basis.u1.shape:
         raise DimensionMismatch("vector length does not match basis")
-    U = basis.basis
-    return U @ (U.T @ v)
-
-
-def orthonormal_complement_in_span(u_bar: np.ndarray, basis: SpectralPair) -> np.ndarray:
-    """Unit vector inside span{u1, u2} orthogonal to ``u_bar``.
-
-    ``u_bar`` must already lie in the span (it normally is a projection onto
-    it). The overall sign of the result is arbitrary; callers resolve it
-    downstream. Raises ZeroProjection when ``u_bar`` is numerically zero,
-    which signals that the projected direction is orthogonal to the
-    recovered subspace and the spectral estimate is unusable.
-    """
-    u_bar = np.asarray(u_bar, dtype=np.float64)
-    if u_bar.shape != basis.u1.shape:
-        raise DimensionMismatch("vector length does not match basis")
-    norm = np.linalg.norm(u_bar)
-    if norm <= 1e-12:
-        raise ZeroProjection("projection of the reference direction is numerically zero")
-    a = float(basis.u1 @ u_bar)
-    b = float(basis.u2 @ u_bar)
+    a = float(basis.u1 @ v)
+    b = float(basis.u2 @ v)
     in_span = np.hypot(a, b)
-    if np.linalg.norm(u_bar - (a * basis.u1 + b * basis.u2)) > 1e-8 * norm:
-        raise InvalidParam("u_bar does not lie in the spanned subspace")
+    if in_span <= 1e-12 * np.linalg.norm(v):
+        raise ZeroProjection("projection of the reference direction is numerically zero")
     return (-b * basis.u1 + a * basis.u2) / in_span
 
 

@@ -32,6 +32,9 @@ from .errors import DegenerateScores, InvalidParam, PreconditionViolated, ZeroGa
 from .model import ScoreVector
 
 PLACEHOLDER_CONSTANT = 1.0
+# Tail exponents of the l-infinity chain: xi > 1 and 0 < kappa < 1.
+XI = 2.0
+KAPPA = 0.5
 
 
 def _degenerate_level(values: np.ndarray) -> float:
@@ -43,21 +46,15 @@ def _degenerate_level(values: np.ndarray) -> float:
 class BoundParams:
     """Free parameters of the probabilistic guarantees.
 
-    epsilon enters the spectral-norm level, xi / kappa only the l-infinity
-    tail exponents.
+    epsilon enters the spectral-norm level. The l-infinity tail exponents
+    are the module constants ``XI`` and ``KAPPA``.
     """
 
     epsilon: float = 0.5
-    xi: float = 2.0
-    kappa: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.5:
             raise InvalidParam("epsilon must lie in (0, 1/2]")
-        if self.xi <= 1.0:
-            raise InvalidParam("xi must exceed 1")
-        if not 0.0 < self.kappa < 1.0:
-            raise InvalidParam("kappa must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def linf_preconditions_hold(stats: ModelStats, params: BoundParams) -> bool:
     n = stats.n
     if stats.p < max(1.0 / (2.0 * n), 2.0 * math.log(n) / (15.0 * n)):
         return False
-    if 16.0 / params.kappa > math.log(n) ** params.xi:
+    if 16.0 / KAPPA > math.log(n) ** XI:
         return False
     return l2_precondition_holds(stats, params)
 
@@ -181,7 +178,7 @@ def linf_C_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, float]:
     spread = 1.0 / math.sqrt(n) + (M - stats.alpha) / dev
     c_val = PLACEHOLDER_CONSTANT * (
         (M * math.sqrt(logn) / (eta * math.sqrt(p) * dev)
-         + M ** 2 * logn ** (2.0 * params.xi) / (eta ** 2 * p * dev ** 2)) * spread
+         + M ** 2 * logn ** (2.0 * XI) / (eta ** 2 * p * dev ** 2)) * spread
         + M ** 3 / (eta ** 3 * p ** 1.5 * dev ** 3))
     bound = 4.0 * (2.0 + math.sqrt(2.0)) * c_val + 4.0 * math.sqrt(n) * c_val ** 2
     return c_val, bound

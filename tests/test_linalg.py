@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from svdrank.linalg import (
     _ritz_pairs,
     component_labels,
     orthonormal_complement_in_span,
-    project_onto_span,
     top2_svd,
 )
 from svdrank.model import EROParams, build_H, generate_ero, generate_scores
@@ -453,40 +453,16 @@ class TestRitzPairs:
         assert np.array_equal(Y[1::2, 0], np.zeros(8)) and np.array_equal(Y[0::2, 1], np.zeros(8))
 
 
-class TestProjection:
-    def _basis(self, n, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
-        return SpectralPair(u1=Q[:, 0], u2=Q[:, 1], sigma1=2.0, sigma2=1.0)
-
-    def test_idempotent_on_span(self, rng):
-        basis = self._basis(8, rng)
-        assert np.allclose(project_onto_span(basis.u1, basis), basis.u1, atol=1e-12)
-
-    def test_orthogonal_vector_maps_to_zero(self, rng):
-        basis = self._basis(6, rng)
-        v = rng.standard_normal(6)
-        v -= project_onto_span(v, basis)
-        assert np.allclose(project_onto_span(v, basis), np.zeros(6), atol=1e-12)
-
-    def test_matches_dense_projector(self, rng):
-        basis = self._basis(12, rng)
-        U = basis.basis
-        P = U @ U.T
-        for _ in range(5):
-            v = rng.standard_normal(12)
-            assert np.allclose(project_onto_span(v, basis), P @ v, atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        basis = self._basis(5, rng)
-        with pytest.raises(DimensionMismatch):
-            project_onto_span(np.ones(6), basis)
+def _random_pair(n, rng, sigma1=1.0, sigma3=float("nan")):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    return SpectralPair(u1=Q[:, 0], u2=Q[:, 1], sigma1=sigma1, sigma3=sigma3)
 
 
 class TestOrthonormalComplement:
     def test_standard_basis(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        basis = SpectralPair(u1=e1, u2=e2, sigma1=1.0, sigma2=1.0)
+        basis = SpectralPair(u1=e1, u2=e2, sigma1=1.0)
         out = orthonormal_complement_in_span(e1, basis)
         assert np.allclose(np.abs(out), e2, atol=1e-12)
         mix = (e1 + e2) / np.sqrt(2.0)
@@ -495,20 +471,54 @@ class TestOrthonormalComplement:
 
     def test_properties_random_basis(self, rng):
         for _ in range(10):
-            Q, _ = np.linalg.qr(rng.standard_normal((10, 2)))
-            basis = SpectralPair(u1=Q[:, 0], u2=Q[:, 1], sigma1=3.0, sigma2=2.0)
-            coeffs = rng.standard_normal(2)
-            u_bar = Q @ coeffs
+            basis = _random_pair(10, rng, sigma1=3.0)
+            U = basis.basis
+            u_bar = U @ rng.standard_normal(2)
             out = orthonormal_complement_in_span(u_bar, basis)
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
             assert abs(out @ u_bar) <= 1e-10
-            assert np.linalg.norm(out - project_onto_span(out, basis)) <= 1e-10
+            assert np.linalg.norm(out - U @ (U.T @ out)) <= 1e-10
+
+    def test_matches_two_step_projection_oracle(self, rng):
+        # The old pipeline step: project the unit reference with the dense
+        # projector U U^T, then take the in-span unit vector orthogonal to it.
+        degrees = rng.integers(1, 50, size=30).astype(float)
+        references = [np.ones(30), 1.0 / np.sqrt(degrees)]
+        references += [rng.standard_normal(30) * 10.0 ** k for k in (-3, 0, 3)]
+        for v in references:
+            basis = _random_pair(30, rng)
+            U = basis.basis
+            u_bar = U @ U.T @ (v / np.linalg.norm(v))
+            a, b = U.T @ u_bar
+            expected = (-b * basis.u1 + a * basis.u2) / np.linalg.norm(u_bar)
+            out = orthonormal_complement_in_span(v, basis)
+            assert np.abs(out - expected).max() <= 1e-12
 
     def test_zero_projection(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
-        basis = SpectralPair(u1=Q[:, 0], u2=Q[:, 1], sigma1=1.0, sigma2=0.5)
+        basis = _random_pair(7, rng)
         with pytest.raises(ZeroProjection):
             orthonormal_complement_in_span(np.zeros(7), basis)
+        U = basis.basis
+        v = rng.standard_normal(7)
+        v -= U @ (U.T @ v)
+        with pytest.raises(ZeroProjection):
+            orthonormal_complement_in_span(1e6 * v, basis)
+        # Just above the threshold relative to ||v||, the step succeeds.
+        w = v / np.linalg.norm(v) + 1e-10 * basis.u1
+        assert abs(orthonormal_complement_in_span(1e6 * w, basis) @ basis.u2) == pytest.approx(1.0)
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            orthonormal_complement_in_span(np.ones(6), _random_pair(5, rng))
+
+    def test_sigma2_is_sigma1_and_sigma3_is_checked(self, rng):
+        pair = _random_pair(6, rng, sigma1=2.5, sigma3=2.5)
+        assert pair.sigma2 == pair.sigma1 == 2.5
+        assert "sigma2" not in {f.name for f in dataclasses.fields(SpectralPair)}
+        with pytest.raises(InvalidParam):
+            _random_pair(6, rng, sigma1=2.5, sigma3=2.6)
+        with pytest.raises(InvalidParam):
+            _random_pair(6, rng, sigma1=2.5, sigma3=-1.0)
 
 
 def test_component_labels():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svdrank import theory
 from svdrank.algorithms import svd_nrs, svd_rs
 from svdrank.errors import DegenerateScores, InvalidParam, PreconditionViolated, ZeroGap
 from svdrank.linalg import top2_svd
@@ -119,7 +120,7 @@ class TestLinfBound:
         c_val, bound = linf_C_svdrs(stats, PARAMS)
         M, dev, alpha = stats.M, stats.dev_norm, stats.alpha
         logn = math.log(n)
-        xi = PARAMS.xi
+        xi = theory.XI
         term = ((M * math.sqrt(logn) / (eta * math.sqrt(p) * dev)
                  + M ** 2 * logn ** (2 * xi) / (eta ** 2 * p * dev ** 2))
                 * (1 / math.sqrt(n) + (M - alpha) / dev)
@@ -296,7 +297,3 @@ class TestBoundReport:
 def test_bound_params_validation():
     with pytest.raises(InvalidParam):
         BoundParams(epsilon=0.6)
-    with pytest.raises(InvalidParam):
-        BoundParams(xi=1.0)
-    with pytest.raises(InvalidParam):
-        BoundParams(kappa=1.0)
