@@ -32,12 +32,12 @@ from .errors import (
     ZeroDenominator,
 )
 from .linalg import (
+    ScaledOperator,
     SkewSparseMatrix,
     SpectralPair,
     orthonormal_complement_in_span,
     top2_svd,
 )
-from .metrics import count_upsets
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,61 @@ def ranking_from_scores(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+def _ratios(H: SkewSparseMatrix, s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-edge ratios H_ij / (s_i - s_j) from the offsets of ``s``, which this may overwrite.
+
+    Pairs whose estimated offset is below 1e-12 times the score range are
+    excluded; raises EmptyRatios when nothing survives. When every pair
+    survives, the ratios are written over ``offsets`` and returned in it.
+    """
+    if H.num_entries == 0:
+        raise EmptyRatios("no observed pairs")
+    keep = np.abs(offsets) > 1e-12 * (s.max() - s.min())
+    if keep.all():
+        return np.divide(H.values, offsets, out=offsets)
+    if not keep.any():
+        raise EmptyRatios("all estimated offsets are numerically zero")
+    return H.values[keep] / offsets[keep]
+
+
+def _median(ratios: np.ndarray) -> float:
+    """Median of ``ratios``, which it reorders in place; even length averages the middle two.
+
+    Equals ``np.median``, NaN whenever one ratio is NaN, from a single-pivot
+    partition: after it the h smallest entries come before entry h, so the
+    lower middle of an even length is their maximum.
+    """
+    if ratios.size == 0:
+        raise EmptyRatios("no ratios to take the median of")
+    h = ratios.size // 2
+    ratios.partition(h)  # NaNs sort last
+    if np.isnan(ratios[h:]).any():
+        return math.nan
+    if ratios.size % 2:
+        return float(ratios[h])
+    return float((ratios[:h].max() + ratios[h]) / 2)
+
+
+def _tau_or_nan(H: SkewSparseMatrix, s: np.ndarray, offsets: np.ndarray) -> float:
+    """Median-of-ratios scale of ``s`` against H from its offsets (which it overwrites), or NaN."""
+    try:
+        return _median(_ratios(H, s, offsets))
+    except EmptyRatios:
+        return math.nan
+
+
+def _upset_sign(H: SkewSparseMatrix, offsets: np.ndarray) -> int:
+    """:func:`reconcile_sign` of ``s`` from its offsets against H.
+
+    A pair is an upset of ``s`` where sign(H_ij) sign(s_i - s_j) = -1, and
+    an upset of ``-s`` where it is +1, since negating ``s`` negates every
+    offset exactly. sign(s_i - s_j) * H_ij carries that sign exactly.
+    """
+    agree = np.sign(offsets)
+    agree *= H.values
+    return -1 if np.count_nonzero(agree > 0.0) < np.count_nonzero(agree < 0.0) else 1
+
+
 def compute_ratio_entries(H: SkewSparseMatrix, s: np.ndarray) -> np.ndarray:
     """Per-edge ratios H_ij / (s_i - s_j) over observed pairs.
 
@@ -88,22 +143,12 @@ def compute_ratio_entries(H: SkewSparseMatrix, s: np.ndarray) -> np.ndarray:
     excluded; raises EmptyRatios when nothing survives.
     """
     s = np.asarray(s, dtype=np.float64)
-    offsets = H.offsets(s)
-    if H.num_entries == 0:
-        raise EmptyRatios("no observed pairs")
-    zeta = 1e-12 * (s.max() - s.min())
-    keep = np.abs(offsets) > zeta
-    if not keep.any():
-        raise EmptyRatios("all estimated offsets are numerically zero")
-    return H.values[keep] / offsets[keep]
+    return _ratios(H, s, H.offsets(s))
 
 
 def recover_scale_median(ratios: np.ndarray) -> float:
     """Median of the per-edge ratios; even length averages the middle two."""
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.size == 0:
-        raise EmptyRatios("no ratios to take the median of")
-    return float(np.median(ratios))
+    return _median(np.array(ratios, dtype=np.float64))
 
 
 def recover_scale_ls(H: SkewSparseMatrix, s: np.ndarray) -> float:
@@ -114,27 +159,19 @@ def recover_scale_ls(H: SkewSparseMatrix, s: np.ndarray) -> float:
     return float(H.values.sum()) / denom
 
 
-def _tau_or_nan(H: SkewSparseMatrix, s: np.ndarray) -> float:
-    """Median-of-ratios scale of ``s`` against H, or NaN when no ratio survives."""
-    try:
-        return recover_scale_median(compute_ratio_entries(H, s))
-    except EmptyRatios:
-        return math.nan
-
-
 def reconcile_sign(s: np.ndarray, H: SkewSparseMatrix) -> int:
     """Sign in {-1, +1} whose induced offsets give fewer upsets; tie -> +1."""
-    up_pos = count_upsets(H, s)
-    up_neg = count_upsets(H, -np.asarray(s, dtype=np.float64))
-    return -1 if up_neg < up_pos else 1
+    return _upset_sign(H, H.offsets(s))
 
 
 def _scale_and_package(H: SkewSparseMatrix, s: np.ndarray, u_tilde: np.ndarray,
                        pair: SpectralPair, method: str,
                        scale_from: SkewSparseMatrix | None) -> RankingResult:
+    """The result for scores ``s``, signed and scaled from one offsets pass over the source."""
     source = H if scale_from is None else scale_from
-    beta = reconcile_sign(s, source)
-    tau = _tau_or_nan(source, s)
+    offsets = source.offsets(s)
+    beta = _upset_sign(source, offsets)
+    tau = _tau_or_nan(source, s, offsets)
     scores = center((tau if math.isfinite(tau) else 1.0) * s)
     return RankingResult(score_estimate=scores, beta=beta, tau=tau, method=method,
                          spectral=pair, direction=u_tilde)
@@ -169,7 +206,8 @@ def svd_nrs(H: SkewSparseMatrix, seed: int = 0,
     """Degree-normalized variant of :func:`svd_rs`.
 
     Works on D^{-1/2} H D^{-1/2} with D the absolute-degree diagonal, which
-    helps under skewed degree distributions. The ranking statistic is
+    helps under skewed degree distributions; the solver multiplies through
+    H's own products (:class:`ScaledOperator`), so no scaled copy is made. The ranking statistic is
     D^{1/2} u_tilde, and scale recovery uses that same statistic. Requires
     every node to have at least one measurement. ``seed`` and ``scale_from``
     act as in :func:`svd_rs`.
@@ -180,8 +218,7 @@ def svd_nrs(H: SkewSparseMatrix, seed: int = 0,
     if not H.is_connected:
         raise GraphDisconnected("measurement graph is not connected")
     d_isqrt = 1.0 / np.sqrt(d)
-    H_ss = H.scaled(d_isqrt)
-    pair = top2_svd(H_ss, seed=seed)
+    pair = top2_svd(ScaledOperator(H, d_isqrt), seed=seed)
     u_tilde = orthonormal_complement_in_span(d_isqrt, pair)
     s = np.sqrt(d) * u_tilde
     return _scale_and_package(H, s, u_tilde, pair, "svd_nrs", scale_from)

@@ -55,8 +55,8 @@ def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
     if H.n < 2:
         raise InvalidParam("need n >= 2")
     scores = center(H.node_sums(H.values))
-    return RankingResult(score_estimate=scores, beta=1, tau=_tau_or_nan(H, scores),
-                         method="rowsum")
+    tau = _tau_or_nan(H, scores, H.offsets(scores))
+    return RankingResult(score_estimate=scores, beta=1, tau=tau, method="rowsum")
 
 
 def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
@@ -102,8 +102,8 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
                                result=scores,
                                residual=float(np.sqrt(rs) / b_norm),
                                iterations=max_iter)
-    return RankingResult(score_estimate=scores, beta=1, tau=_tau_or_nan(H, scores),
-                         method="least_squares")
+    tau = _tau_or_nan(H, scores, H.offsets(scores))
+    return RankingResult(score_estimate=scores, beta=1, tau=tau, method="least_squares")
 
 
 @dataclass(frozen=True)

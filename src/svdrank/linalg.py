@@ -31,6 +31,15 @@ and restarts onto its leading Ritz pairs once the basis is full
 bidiagonal form). A Krylov method needs about sqrt(1/gap) steps where power
 iteration needs about 1/gap, and the basis costs O(n) memory per column.
 
+``top2_svd`` reads its operator through ``n``, ``matvec`` and ``max_abs``
+only, so the degree-normalised D^{-1/2} H D^{-1/2} of ``svd_nrs`` is a
+:class:`ScaledOperator` that multiplies through H's own products (and H's
+own dense array) rather than a second, scaled edge list. The solver scales
+every product by the power of two 2^-e just above ``max_abs`` and scales the
+singular values back, so no input scale that the edge list accepts makes
+its squared norms underflow or overflow, and in-range results are
+bit-identical to unscaled arithmetic.
+
 ``orthonormal_complement_in_span`` turns the pair into the ranking
 direction: the in-span unit vector orthogonal to the projection of a
 reference vector, from that vector's two inner products with u1 and u2.
@@ -38,6 +47,7 @@ reference vector, from that vector's two inner products with u1 and u2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,14 +212,6 @@ class SkewSparseMatrix:
         return (np.bincount(self.rows, weights=a, minlength=self.n)
                 + np.bincount(self.cols, weights=a, minlength=self.n))
 
-    def scaled(self, d: np.ndarray) -> "SkewSparseMatrix":
-        """Return the matrix with entry (i, j) multiplied by d[i] * d[j]."""
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise DimensionMismatch("scaling vector has wrong length")
-        return SkewSparseMatrix(self.n, self.rows, self.cols,
-                                self.values * d[self.rows] * d[self.cols])
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
         dense[self.rows, self.cols] = self.values
@@ -227,6 +229,43 @@ class SkewSparseMatrix:
         v = dense[i, j]
         keep = v != 0
         return SkewSparseMatrix(dense.shape[0], i[keep], j[keep], v[keep])
+
+
+@dataclass(frozen=True)
+class ScaledOperator:
+    """diag(d) H diag(d) as :func:`top2_svd` reads it: ``n``, ``matvec`` and ``max_abs``.
+
+    No scaled edge list or second dense array is made: each product is
+    ``d * H.matvec(d * x)``, one product with H, which uses H's own dense
+    array when H has one. ``max_abs`` is exact, the largest
+    ``(|H_ij| d_i) d_j`` over the stored entries.
+    """
+
+    H: SkewSparseMatrix
+    d: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.d, dtype=np.float64)
+        if d.shape != (self.H.n,):
+            raise DimensionMismatch("scaling vector has wrong length")
+        d.setflags(write=False)
+        object.__setattr__(self, "d", d)
+
+    @property
+    def n(self) -> int:
+        return self.H.n
+
+    @property
+    def max_abs(self) -> float:
+        if not self.H.num_entries:
+            return 0.0
+        a = np.abs(self.H.values)
+        a *= self.d[self.H.rows]
+        a *= self.d[self.H.cols]
+        return float(a.max())
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.d * self.H.matvec(self.d * x)
 
 
 @dataclass(frozen=True)
@@ -332,9 +371,16 @@ def _ritz_pairs(S: np.ndarray, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma, Y
 
 
-def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
+def top2_svd(H: SkewSparseMatrix | ScaledOperator, tol: float = 1e-10, max_iter: int = 2000,
              seed: int = 0) -> SpectralPair:
     """Dominant singular pair of H by restarted Lanczos on H itself.
+
+    H is read through ``n``, ``matvec`` and ``max_abs`` only. Every product
+    is multiplied by 2^-e, with 2^(e-1) <= ``max_abs`` < 2^e, so the solve
+    sees a matrix whose largest entry lies in [1/2, 1): squared norms
+    neither underflow nor overflow at any scale of the input, and since a
+    power-of-two scale is exact, in-range inputs give the same bits as
+    unscaled arithmetic would. The singular values are scaled back by 2^e.
 
     Each Lanczos step multiplies the newest basis vector by H (one matvec),
     stores the product, and orthogonalises it against the whole basis (full
@@ -381,7 +427,7 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
         raise InvalidParam("need n >= 2")
     if tol <= 0 or max_iter < 1:
         raise InvalidParam("tol must be positive and max_iter >= 1")
-    scale = H.max_abs
+    scale, e = math.frexp(H.max_abs)  # the scaled matrix's max_abs and 2^e
     if scale == 0.0:
         raise DegenerateSpectrum("matrix has no nonzero entries")
 
@@ -401,7 +447,7 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
         for _ in range(LANCZOS_STEPS):
             if k == n:  # the basis spans R^n
                 break
-            AV[:, k] = H.matvec(V[:, k])
+            AV[:, k] = np.ldexp(H.matvec(V[:, k]), -e)
             matvecs += 1
             w, G[:k + 1, k] = _orthogonalise(AV[:, k], V[:, :k + 1])
             k += 1
@@ -436,12 +482,12 @@ def top2_svd(H: SkewSparseMatrix, tol: float = 1e-10, max_iter: int = 2000,
             G[LANCZOS_KEEP, :LANCZOS_KEEP] = row
             k = LANCZOS_KEEP
     if theta.size > 1:
-        sigma3 = float(theta[1])
+        sigma3 = math.ldexp(theta[1], e)
     else:
         sigma3 = 0.0 if k > 2 else float("nan")
-    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=float(theta[0]), sigma3=sigma3,
+    pair = SpectralPair(u1=U[:, 0], u2=U[:, 1], sigma1=math.ldexp(theta[0], e), sigma3=sigma3,
                         iterations=sweep, residual=float(residual), matvecs=matvecs)
-    if pair.sigma1 <= tol * scale * n:
+    if theta[0] <= tol * scale * n:
         raise DegenerateSpectrum("top singular value is numerically zero")
     if residual > tol:
         raise NotConverged(f"Lanczos stalled at residual {residual:.3e}",
@@ -480,15 +526,19 @@ def component_labels(H: SkewSparseMatrix) -> np.ndarray:
     """
     parent = np.arange(H.n)
     rows, cols = H.rows, H.cols
-    while rows.size:
-        a, b = parent[rows], parent[cols]
-        apart = a != b
-        rows, cols, a, b = rows[apart], cols[apart], a[apart], b[apart]
-        # Both orientations in one pass: each root takes its smallest neighbour root.
-        np.minimum.at(parent, np.concatenate([a, b]), np.concatenate([b, a]))
+    # In the first round every node is its own root and rows < cols, so it
+    # needs no gather: it hooks each node under its smallest neighbour below.
+    at, to = cols, rows
+    while at.size:
+        np.minimum.at(parent, at, to)
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
+        a, b = parent[rows], parent[cols]
+        apart = a != b
+        rows, cols, a, b = rows[apart], cols[apart], a[apart], b[apart]
+        # Both orientations in one pass: each root takes its smallest neighbour root.
+        at, to = np.concatenate([a, b]), np.concatenate([b, a])
     return np.unique(parent, return_inverse=True)[1]

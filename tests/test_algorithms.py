@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svdrank.algorithms import (
+    _scale_and_package,
     center,
     compute_ratio_entries,
     ranking_from_scores,
@@ -19,9 +23,10 @@ from svdrank.errors import (
     IsolatedNode,
     ZeroDenominator,
 )
+from svdrank.baselines import least_squares_rank, rowsum_rank
 from svdrank.harness import ALGORITHMS, _run_algorithm
 from svdrank.linalg import SkewSparseMatrix
-from svdrank.metrics import kendall_distance
+from svdrank.metrics import count_upsets, kendall_distance
 from svdrank.model import EROParams, build_H, generate_ero, generate_scores
 
 from matrix_helpers import noiseless_matrix
@@ -199,6 +204,104 @@ class TestSvdRs:
         assert all(b >= a for a, b in zip(means, means[1:]))
 
 
+def _composed_sign_and_scale(H, s):
+    """beta and tau by the public functions, composed as separate passes over the offsets."""
+    beta = -1 if count_upsets(H, -s) < count_upsets(H, s) else 1
+    try:
+        tau = recover_scale_median(compute_ratio_entries(H, s))
+    except EmptyRatios:
+        tau = math.nan
+    return beta, tau
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestOneOffsetsPass:
+    """Sign and scale from one offsets pass equal the composition of the public steps."""
+
+    @staticmethod
+    def instances(rng):
+        """Small seeded (H, s, scale_from) triples covering the edge cases of both steps."""
+        for trial in range(12):
+            n = int(rng.integers(4, 40))
+            H = build_H(generate_ero(generate_scores("uniform01", n, seed=trial),
+                                     EROParams(n=n, p=0.6, eta=0.5, seed=trial)))
+            s = rng.standard_normal(n)
+            yield H, s, None
+            zeroed = H.values.copy()
+            zeroed[rng.random(zeroed.size) < 0.5] = 0.0  # zero measurements
+            yield SkewSparseMatrix(n, H.rows, H.cols, zeroed), s, None
+            yield H, np.round(s), None  # tied scores: zero offsets
+            yield H, rng.integers(0, 3, n).astype(float), None
+            yield H, np.zeros(n), None  # no ratio survives: NaN tau
+            even = H if H.num_entries % 2 == 0 else SkewSparseMatrix(
+                n, H.rows[1:], H.cols[1:], H.values[1:])
+            yield even, s, None  # even count of ratios: the middle two are averaged
+            i, j = rng.integers(0, n, (2, 2 * n))
+            other = SkewSparseMatrix.from_pairs(n, i[i != j], j[i != j],
+                                                rng.standard_normal(int((i != j).sum())))
+            yield H, s, other  # sign and scale from a different edge set
+
+    def test_package_matches_composition(self, rng):
+        seen_nan = seen_even = 0
+        for H, s, scale_from in self.instances(rng):
+            source = H if scale_from is None else scale_from
+            beta, tau = _composed_sign_and_scale(source, s)
+            res = _scale_and_package(H, s, s, None, "test", scale_from)
+            assert res.beta == beta and _same(res.tau, tau)
+            scores = center((tau if math.isfinite(tau) else 1.0) * s)
+            assert np.array_equal(res.score_estimate, scores)
+            seen_nan += math.isnan(tau)
+            seen_even += source.num_entries % 2 == 0
+        assert seen_nan >= 12 and seen_even >= 12
+
+    def test_public_steps_match_numpy(self, rng):
+        for H, s, _ in self.instances(rng):
+            offsets = s[H.rows] - s[H.cols]
+            keep = np.abs(offsets) > 1e-12 * (s.max() - s.min())
+            if not keep.any():
+                with pytest.raises(EmptyRatios):
+                    compute_ratio_entries(H, s)
+                continue
+            ratios = compute_ratio_entries(H, s)
+            assert np.array_equal(ratios, H.values[keep] / offsets[keep])
+            assert recover_scale_median(ratios) == float(np.median(ratios))
+
+    def test_median_propagates_nan(self):
+        assert math.isnan(recover_scale_median(np.array([1.0, np.nan, 2.0, 3.0])))
+
+    def test_pipelines_with_scale_from(self):
+        scores = generate_scores("uniform01", 50, seed=8)
+        H = build_H(generate_ero(scores, EROParams(n=50, p=0.5, eta=0.6, seed=8)))
+        observed = build_H(generate_ero(scores, EROParams(n=50, p=0.2, eta=0.6, seed=9)))
+        for scale_from in (None, observed):
+            source = H if scale_from is None else scale_from
+            res = svd_rs(H, scale_from=scale_from)
+            assert (res.beta, res.tau) == _composed_sign_and_scale(source, res.direction)
+            res = svd_nrs(H, scale_from=scale_from)
+            s = np.sqrt(H.abs_row_sums()) * res.direction
+            assert (res.beta, res.tau) == _composed_sign_and_scale(source, s)
+        for res in (rowsum_rank(H), least_squares_rank(H)):
+            assert _same(res.tau, _composed_sign_and_scale(H, res.score_estimate)[1])
+
+
+class TestScaleOfInput:
+    """A noiseless instance ranks exactly however far its values are scaled."""
+
+    @pytest.mark.parametrize("k", [-180, -170, -165, -160, 0, 160, 200])
+    def test_scaled_noiseless_complete_graph(self, k):
+        r = generate_scores("uniform01", 30, seed=1).values
+        H = noiseless_matrix(r * 10.0 ** k)
+        truth = ranking_from_scores(r)
+        for algorithm in (svd_rs, svd_nrs):
+            res = algorithm(H)
+            assert kendall_distance(truth, res.permutation) == 0
+            assert res.spectral.residual <= 1e-10
+            assert np.allclose(res.score_estimate / 10.0 ** k, r - r.mean(), rtol=0, atol=1e-8)
+
+
 class TestSvdNrs:
     def test_degree_diagonal(self):
         r = np.array([1.0, 2.0, 3.0])
@@ -215,6 +318,37 @@ class TestSvdNrs:
         H = SkewSparseMatrix(3, np.array([0]), np.array([1]), np.array([1.0]))
         with pytest.raises(IsolatedNode):
             svd_nrs(H)
+
+    @pytest.mark.parametrize("p", [1.0, 0.05])
+    def test_pair_matches_dense_svd_of_normalized_matrix(self, p):
+        scores = generate_scores("uniform01", 300, seed=6)
+        H = build_H(generate_ero(scores, EROParams(n=300, p=p, eta=0.7, seed=6)))
+        d = 1.0 / np.sqrt(H.abs_row_sums())
+        U, S, _ = np.linalg.svd(d[:, None] * H.to_dense() * d)
+        pair = svd_nrs(H).spectral
+        assert (vars(H).get("_dense") is not None) == (p == 1.0)  # H's own products
+        assert np.linalg.norm(U[:, :2] - pair.basis @ (pair.basis.T @ U[:, :2]), 2) < 1e-8
+        assert pair.sigma1 == pytest.approx(S[0], rel=1e-10)
+        assert pair.sigma3 <= S[2] * (1 + 1e-12)
+
+    def test_no_second_dense_array(self):
+        # At the dense threshold 3 m = n^2 the n x n array takes as many bytes as
+        # the edge list's three arrays; svd_nrs multiplies with H's own array and
+        # allocates less than one more.
+        rng = np.random.default_rng(12)
+        n = 600
+        iu, ju = np.triu_indices(n, 1)
+        pick = np.sort(rng.choice(iu.size, -(-n * n // 3), replace=False))
+        H = SkewSparseMatrix(n, iu[pick], ju[pick], rng.standard_normal(pick.size))
+        svd_rs(H)  # builds H's dense array and its connectivity
+        assert vars(H).get("_dense") is not None
+        tracemalloc.start()
+        try:
+            svd_nrs(H)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
     def test_degree_regular_matches_plain(self):
         scores = generate_scores("linear", 25)

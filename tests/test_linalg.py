@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from svdrank.errors import (
 from svdrank import linalg
 from svdrank.linalg import (
     LANCZOS_BASIS,
+    ScaledOperator,
     SkewSparseMatrix,
     SpectralPair,
     _ritz_pairs,
@@ -155,13 +157,11 @@ class TestDenseOperator:
     def test_matches_oracle_on_both_sides_of_threshold(self, rng, n, m, dense):
         assert assert_matches_dense(first_pairs(n, m, rng), rng) == dense
 
-    def test_scaled_and_restricted_dense_matrix(self, rng):
+    def test_restricted_dense_matrix(self, rng):
         H = random_sparse(30, 1.0, rng)
-        d = rng.random(30) + 0.5
         keep = np.ones(30, dtype=bool)
         keep[[3, 17]] = False
-        for derived in (H.scaled(d), H.restrict(keep)):
-            assert assert_matches_dense(derived, rng)
+        assert assert_matches_dense(H.restrict(keep), rng)
 
     def test_empty_matrix(self, rng):
         for n in (1, 4):
@@ -239,12 +239,47 @@ class TestTop2Svd:
             res = np.linalg.norm(dense.T @ (dense @ u) - sigma ** 2 * u)
             assert res <= 1e-9 * sigma ** 2
 
+    def test_power_of_two_scale_is_exact(self, rng, count_matvecs):
+        H = random_sparse(120, 0.1, rng)
+        base = top2_svd(H, seed=2)
+        calls = len(count_matvecs)
+        for k in (-1000, -40, -7, 5, 300, 1000):
+            scaled = SkewSparseMatrix(H.n, H.rows, H.cols, np.ldexp(H.values, k))
+            pair = top2_svd(scaled, seed=2)
+            assert np.array_equal(pair.u1, base.u1) and np.array_equal(pair.u2, base.u2)
+            assert pair.sigma1 == math.ldexp(base.sigma1, k)
+            assert pair.sigma3 == math.ldexp(base.sigma3, k)
+            assert (pair.residual, pair.matvecs) == (base.residual, base.matvecs)
+        assert len(count_matvecs) == 7 * calls
+
     def test_degenerate_pair_on_expected_matrix(self, rng):
         # eta p C keeps the equal top pair; sigma1 and sigma2 must agree
         r = rng.random(30)
         H = noiseless_matrix(0.4 * 0.8 * r)
         pair = top2_svd(H)
         assert pair.sigma1 == pytest.approx(pair.sigma2, rel=1e-8)
+
+
+class TestScaledOperator:
+    """diag(d) H diag(d) through H's own products, as svd_nrs hands it to top2_svd."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_matches_dense_oracle(self, rng, density, count_matvecs):
+        H = random_sparse(50, density, rng)
+        d = rng.random(50) + 0.5
+        op = ScaledOperator(H, d)
+        dense = d[:, None] * H.to_dense() * d
+        x = rng.standard_normal(50)
+        assert np.allclose(op.matvec(x), dense @ x, rtol=0, atol=1e-12)
+        assert len(count_matvecs) == 1
+        assert op.n == 50 and op.max_abs == np.abs(H.values * d[H.rows] * d[H.cols]).max()
+        assert (vars(H).get("_dense") is not None) == (density == 1.0)
+
+    def test_empty_and_wrong_length(self):
+        H = SkewSparseMatrix(3, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+        assert ScaledOperator(H, np.ones(3)).max_abs == 0.0
+        with pytest.raises(DimensionMismatch):
+            ScaledOperator(H, np.ones(4))
 
 
 class TestBlockLanczos:
@@ -304,10 +339,10 @@ class TestBlockLanczos:
         # power iteration stopped at residual 2e-6 after max_iter=2000 here.
         scores = generate_scores("uniform01", 2000, seed=1)
         H = build_H(generate_ero(scores, EROParams(n=2000, p=0.01, eta=0.4, seed=1)))
-        H = H.scaled(1.0 / np.sqrt(H.abs_row_sums()))
-        pair = top2_svd(H, seed=1)
+        d = 1.0 / np.sqrt(H.abs_row_sums())
+        pair = top2_svd(ScaledOperator(H, d), seed=1)
         assert pair.residual <= 1e-10 and 4 * pair.iterations <= 240
-        U, S, _ = np.linalg.svd(H.to_dense())
+        U, S, _ = np.linalg.svd(d[:, None] * H.to_dense() * d)
         assert subspace_sine(pair, U[:, :2]) < 1e-7
         assert pair.sigma1 == pytest.approx(S[0], rel=1e-10)
         assert S[2] * (1 - 1e-3) <= pair.sigma3 <= S[2] * (1 + 1e-12)
@@ -339,10 +374,12 @@ class TestBlockLanczos:
 
     def test_scaled_and_restricted_matrices(self, rng):
         H = random_sparse(200, 0.1, rng)
-        keep = rng.random(200) < 0.8
-        for derived in (H.scaled(rng.random(200) + 0.5), H.restrict(keep)):
+        d = rng.random(200) + 0.5
+        sub = H.restrict(rng.random(200) < 0.8)
+        for derived, dense in ((ScaledOperator(H, d), d[:, None] * H.to_dense() * d),
+                               (sub, sub.to_dense())):
             pair = top2_svd(derived, tol=1e-12, max_iter=5000, seed=3)
-            U, S, _ = np.linalg.svd(derived.to_dense())
+            U, S, _ = np.linalg.svd(dense)
             assert subspace_sine(pair, U[:, :2]) < 1e-8
             assert pair.sigma1 == pytest.approx(S[0], rel=1e-10)
             assert pair.sigma2 == pytest.approx(S[1], rel=1e-10)
@@ -544,8 +581,9 @@ class TestComponentLabelsOracle:
         from scipy.sparse.csgraph import connected_components
 
         graph = coo_matrix((np.ones(H.num_entries), (H.rows, H.cols)), shape=(H.n, H.n))
-        _, expected = connected_components(graph, directed=False)
+        count, expected = connected_components(graph, directed=False)
         assert np.array_equal(component_labels(H), expected)
+        assert H.is_connected == (count == 1)
 
     def test_path_and_shuffled_path(self, rng):
         n = 500
@@ -562,6 +600,31 @@ class TestComponentLabelsOracle:
         self.check(_graph(6, [4, 1], [1, 2]))
         for n in (1, 2, 9):
             self.check(_graph(n, [], []))
+
+    def test_complete_graph(self):
+        n = 60
+        i, j = np.triu_indices(n, 1)
+        self.check(_graph(n, i, j))
+
+    def test_star_on_last_node_and_reversed_path(self):
+        n = 300
+        self.check(_graph(n, np.full(n - 1, n - 1), np.arange(n - 1)))
+        path = SkewSparseMatrix(n, np.arange(n - 2, -1, -1), np.arange(n - 1, 0, -1),
+                                np.ones(n - 1))  # entries listed from the far end
+        self.check(path)
+
+    def test_many_isolated_nodes(self, rng):
+        n = 1000
+        touched = rng.choice(n, 40, replace=False)
+        self.check(_graph(n, touched[:-1], touched[1:]))
+        self.check(_graph(n, touched[:20], touched[20:]))
+
+    def test_two_equal_components(self, rng):
+        half = 150
+        perm = rng.permutation(2 * half)  # a path through each half of the nodes
+        i = np.concatenate([perm[:half - 1], perm[half:-1]])
+        j = np.concatenate([perm[1:half], perm[half + 1:]])
+        self.check(_graph(2 * half, i, j))
 
     def test_random_sparse(self, rng):
         for n, m in ((50, 20), (200, 150), (1000, 600), (1000, 3000)):
