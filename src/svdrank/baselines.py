@@ -48,6 +48,7 @@ from .model import ScoreVector
 SVT_TOL = 1e-12  # kept triplets need ||Y v - sigma u|| <= SVT_TOL * sigma_1
 SVT_EXTRA = 4    # Gaussian columns beside the warm start
 SVT_BLOCKS = 3   # Krylov blocks in the basis: Y S, (Y Y^T) Y S, (Y Y^T)^2 Y S
+COMPLETION_N_LIMIT = 2000  # the completion iterate is a dense n x n array
 
 
 def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
@@ -76,6 +77,11 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
         raise GraphDisconnected("incidence graph is not connected")
 
     b = H.node_sums(H.values)
+    # Solve for 2^-e x, with 2^(e-1) <= max |b| < 2^e: the Laplacian does not
+    # read the values, and alpha and the stopping test are scale-invariant,
+    # so the exact power-of-two scale keeps r^T r finite at any input scale.
+    e = math.frexp(float(np.abs(b).max()))[1]
+    b = np.ldexp(b, -e)
     b_norm = np.linalg.norm(b)
     x = np.zeros(n)
     if b_norm == 0.0:
@@ -96,7 +102,7 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
                 break
             p = r + (rs_new / rs) * p
             rs = rs_new
-        scores = x - x.mean()  # kill roundoff drift off the centered subspace
+        scores = np.ldexp(x - x.mean(), e)  # kill roundoff drift off the centered subspace
         if not converged:
             raise NotConverged("conjugate gradient did not reach tolerance",
                                result=scores,
@@ -124,7 +130,6 @@ class CompletionConfig:
     floor: float | None = None
     max_iter: int = 500
     tol: float = 1e-6
-    n_limit: int = 2000
 
     def __post_init__(self):
         if self.step <= 0 or self.max_iter < 1 or self.tol <= 0:
@@ -135,13 +140,6 @@ class CompletionConfig:
             raise InvalidParam("decay must lie in (0, 1]")
         if self.floor is not None and self.floor <= 0:
             raise InvalidParam("floor must be positive")
-        if self.n_limit < 2:
-            raise InvalidParam("n_limit must be >= 2")
-
-    def check_size(self, n: int) -> None:
-        """Raise InvalidParam when an n-node completion would pass ``n_limit``."""
-        if n > self.n_limit:
-            raise InvalidParam(f"dense completion limited to n <= {self.n_limit}")
 
 
 @dataclass(frozen=True)
@@ -195,25 +193,32 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
 
     Each iteration forms only the singular triplets above the current
     threshold (see the module docstring); the iterate itself is a dense
-    n x n array, so n beyond ``cfg.n_limit`` is refused. Returns the
+    n x n array, so n beyond ``COMPLETION_N_LIMIT`` is refused. Returns the
     skew-symmetrized estimate (X - X^T) / 2 together with convergence
     diagnostics; an empty observation set yields the zero matrix flagged as
     not converged.
     """
     n = m.n
-    cfg.check_size(n)
+    if n > COMPLETION_N_LIMIT:
+        raise InvalidParam(f"dense completion limited to n <= {COMPLETION_N_LIMIT}")
     if m.num_entries == 0:
         return CompletionResult(matrix=np.zeros((n, n)), converged=False,
                                 iterations=0, rel_change=math.inf, effective_rank=0)
+    # Solve for the values times 2^-e, with 2^(e-1) <= max_abs < 2^e, as
+    # top2_svd does: a power-of-two scale is exact, so results keep their
+    # bits while no square inside the SVDs can overflow or underflow.
+    e = math.frexp(m.max_abs)[1]
     obs_i = np.concatenate([m.rows, m.cols])
     obs_j = np.concatenate([m.cols, m.rows])
-    obs_v = np.concatenate([m.values, -m.values])
+    obs_v = np.ldexp(np.concatenate([m.values, -m.values]), -e)
     p_hat = obs_i.size / (n * (n - 1))
-    lam = cfg.threshold
-    if lam is None:
+    if cfg.threshold is None:
         lam = 2.5 * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
         lam = max(lam, np.finfo(float).tiny)
-    floor = cfg.floor if cfg.floor is not None else 1e-9 * lam
+    else:
+        lam = math.ldexp(cfg.threshold, -e)
+    floor = math.ldexp(cfg.floor, -e) if cfg.floor is not None else 1e-9 * lam
+    unit = math.ldexp(1.0, min(-e, 1023))  # 1.0 in input units; 2^1024 would overflow
 
     X = np.zeros((n, n))
     X_prev = X
@@ -222,6 +227,7 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
     rel = math.inf
     rank = 0
     it = 0
+    converged = False
     for it in range(1, cfg.max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum ** 2))
         Y = X + ((t_momentum - 1.0) / t_next) * (X - X_prev)
@@ -232,16 +238,14 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
         rank = V.shape[1]
         X_new = US @ V.T
         np.fill_diagonal(X_new, 0.0)
-        rel = np.linalg.norm(X_new - X, "fro") / max(np.linalg.norm(X, "fro"), 1.0)
+        rel = np.linalg.norm(X_new - X, "fro") / max(np.linalg.norm(X, "fro"), unit)
         X_prev, X = X, X_new
         if rel <= cfg.tol and lam <= floor * (1 + 1e-12):
-            skew = 0.5 * (X - X.T)
-            return CompletionResult(matrix=skew, converged=True, iterations=it,
-                                    rel_change=float(rel), effective_rank=rank)
+            converged = True
+            break
         lam = max(lam * cfg.decay, floor)
-    skew = 0.5 * (X - X.T)
-    return CompletionResult(matrix=skew, converged=False, iterations=it,
-                            rel_change=float(rel), effective_rank=rank)
+    return CompletionResult(matrix=np.ldexp(0.5 * (X - X.T), e), converged=converged,
+                            iterations=it, rel_change=float(rel), effective_rank=rank)
 
 
 def coherence(r: ScoreVector) -> float:

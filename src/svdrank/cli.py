@@ -99,18 +99,13 @@ def _cmd_rank(args) -> int:
     mset = ingest_edge_list(args.input, one_indexed=args.one_indexed, n=args.n)
     pruned, mapping = prune_and_restrict(mset, min_degree=args.min_degree)
     completion = CompletionConfig() if args.completion else None
-    if completion is not None:
-        completion.check_size(pruned.n)  # complete_and_rank would rank before reporting it
-    run = complete_and_rank(pruned, (args.algorithm,), completion, args.seed)
-    [(_, result, _)] = run.results
-    for outcome in (run.completion, result):  # a completion error is reported first
-        if isinstance(outcome, SvdRankError):
-            raise outcome
-    H = run.H
+    [(_, result, _)] = complete_and_rank(pruned, (args.algorithm,), completion, args.seed)
+    if isinstance(result, SvdRankError):
+        raise result
     offset = 1 if args.one_indexed else 0
     lines = [f"# method={result.method} n={pruned.n} tau={_opt(result.tau)} "
-             f"beta={result.beta} upsets={count_upsets(H, result.score_estimate)} "
-             f"weighted_upsets={_opt(weighted_upsets(H, result.score_estimate))}",
+             f"beta={result.beta} upsets={count_upsets(pruned, result.score_estimate)} "
+             f"weighted_upsets={_opt(weighted_upsets(pruned, result.score_estimate))}",
              "position,item,score"]
     for pos, node in enumerate(result.permutation):
         lines.append(f"{pos + offset},{int(mapping[node]) + offset},"
@@ -119,8 +114,8 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _opt(value) -> str:
-    return "" if value is None else format(value, ".12g")
+def _opt(value: float) -> str:
+    return format(value, ".12g")
 
 
 def _cmd_complete(args) -> int:

@@ -6,7 +6,8 @@ its own random stream from the master seed through
 so results do not depend on execution order and a rerun with the same
 configuration reproduces the output byte for byte. Per-cell failures (for
 example a disconnected draw at tiny p) are recorded in their rows and never
-abort the sweep.
+abort the sweep. Completion's size limit is a configuration error, not a
+per-cell failure: it ends the sweep at its first cell.
 
 Timing columns are kept out of the CSV unless explicitly requested, since
 wall-clock values would break byte-level reproducibility.
@@ -35,7 +36,6 @@ import numpy as np
 from .algorithms import RankingResult, ranking_from_scores, svd_nrs, svd_rs
 from .baselines import (
     CompletionConfig,
-    CompletionResult,
     complete_matrix,
     least_squares_rank,
     rowsum_rank,
@@ -179,42 +179,26 @@ def _run_algorithm(name: str, H: SkewSparseMatrix, seed: int,
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
-@dataclass(frozen=True)
-class RankRun:
-    """What :func:`complete_and_rank` produced for one measurement set.
-
-    ``H`` is the observed measurement matrix; upsets are measured against it
-    even when the algorithms ran on the completed matrix. ``completion`` is
-    None when completion was not asked for, else its result or the error it
-    raised (the algorithms then ran on ``H``). ``results`` holds, per
-    algorithm in the order asked for, its name, its ranking or the error it
-    raised, and its run time in milliseconds.
-    """
-
-    H: SkewSparseMatrix
-    completion: CompletionResult | SvdRankError | None
-    results: list[tuple[str, RankingResult | SvdRankError, float]]
-
-
 def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
-                      completion: CompletionConfig | None, seed: int) -> RankRun:
+                      completion: CompletionConfig | None,
+                      seed: int) -> list[tuple[str, RankingResult | SvdRankError, float]]:
     """Run each algorithm on a measurement set, after completing it if asked.
 
-    With a completion config, the algorithms run on the completed matrix and
-    take sign and scale from the observed pairs only. Errors from completion
-    and from each algorithm are returned, not raised, so one failure never
-    hides the other results.
+    Returns, per algorithm in the order asked for, its name, its ranking or
+    the error it raised, and its run time in milliseconds; one algorithm's
+    failure never hides the other results. A completion error (a matrix past
+    the dense size limit) raises before any algorithm runs. With a
+    completion config the algorithms rank the completed matrix. Only
+    ``svd_rs`` and ``svd_nrs`` take sign and scale from the observed pairs;
+    ``rowsum`` and ``least_squares`` report ``tau`` against the completed
+    matrix they rank.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GraphDisconnectedWarning)
         H = build_H(m)
-    H_run, scale_from, outcome = H, None, None
+    H_run, scale_from = H, None
     if completion is not None:
-        try:
-            outcome = complete_matrix(H, completion)
-            H_run, scale_from = outcome.to_sparse(), H
-        except SvdRankError as exc:
-            outcome = exc
+        H_run, scale_from = complete_matrix(H, completion).to_sparse(), H
     results = []
     for name in algorithms:
         start = time.perf_counter()
@@ -223,11 +207,11 @@ def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
         except SvdRankError as exc:
             result = exc
         results.append((name, result, (time.perf_counter() - start) * 1e3))
-    return RankRun(H, outcome, results)
+    return results
 
 
-def _add_error(row: ResultRow, exc: SvdRankError) -> None:
-    row.error = (row.error + "; " if row.error else "") + f"{type(exc).__name__}: {exc}"
+def _set_error(row: ResultRow, exc: SvdRankError) -> None:
+    row.error = f"{type(exc).__name__}: {exc}"
 
 
 def _theory_columns(row: ResultRow, result: RankingResult, scores: ScoreVector,
@@ -263,22 +247,15 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
     scores = generate_scores(cfg.scores, cfg.n, seed=score_seed,
                              a=cfg.gamma_shape, b=cfg.gamma_scale)
     mset = generate_ero(scores, EROParams(n=cfg.n, p=p, eta=eta, seed=ero_seed))
-    run = complete_and_rank(mset, cfg.algorithms,
-                            cfg.completion_cfg if cfg.completion else None, algo_seed)
-    # A completion stopped at max_iter still returns a matrix that the
-    # algorithms rank on, as ``svdrank rank --completion`` does: not an error.
-    completion_error = ""
-    if isinstance(run.completion, SvdRankError):
-        completion_error = f"completion {type(run.completion).__name__}: {run.completion}"
-
+    results = complete_and_rank(mset, cfg.algorithms,
+                                cfg.completion_cfg if cfg.completion else None, algo_seed)
     true_perm = ranking_from_scores(scores.values)
     rows = []
-    for name, result, runtime_ms in run.results:
-        row = ResultRow(algorithm=name, n=cfg.n, p=p, gamma=gamma, trial=trial,
-                        error=completion_error)
+    for name, result, runtime_ms in results:
+        row = ResultRow(algorithm=name, n=cfg.n, p=p, gamma=gamma, trial=trial)
         rows.append(row)
         if isinstance(result, SvdRankError):
-            _add_error(row, result)
+            _set_error(row, result)
             continue
         row.runtime_ms = runtime_ms
         est = result.score_estimate
@@ -293,15 +270,15 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
             if "rmse" in cfg.metrics:
                 row.rmse = rmse(scores.values, est)
             if "upsets" in cfg.metrics:
-                row.upsets = float(count_upsets(run.H, est))
+                row.upsets = float(count_upsets(mset, est))
             if "weighted_upsets" in cfg.metrics:
-                row.weighted_upsets = weighted_upsets(run.H, est)
+                row.weighted_upsets = weighted_upsets(mset, est)
             if "max_displacement" in cfg.metrics:
                 row.max_displacement = float(max_displacement(true_perm, result.permutation))
             if "theory" in cfg.metrics and eta > 0 and p > 0:
                 _theory_columns(row, result, scores, p, eta, cfg.epsilon)
         except SvdRankError as exc:
-            _add_error(row, exc)
+            _set_error(row, exc)
     return rows
 
 

@@ -290,16 +290,20 @@ class TestOneOffsetsPass:
 class TestScaleOfInput:
     """A noiseless instance ranks exactly however far its values are scaled."""
 
-    @pytest.mark.parametrize("k", [-180, -170, -165, -160, 0, 160, 200])
+    @pytest.mark.parametrize("k", [-300, -180, -170, -165, -160, 0, 160, 200, 300])
     def test_scaled_noiseless_complete_graph(self, k):
         r = generate_scores("uniform01", 30, seed=1).values
         H = noiseless_matrix(r * 10.0 ** k)
         truth = ranking_from_scores(r)
-        for algorithm in (svd_rs, svd_nrs):
+        for algorithm in (svd_rs, svd_nrs, rowsum_rank, least_squares_rank):
             res = algorithm(H)
             assert kendall_distance(truth, res.permutation) == 0
-            assert res.spectral.residual <= 1e-10
-            assert np.allclose(res.score_estimate / 10.0 ** k, r - r.mean(), rtol=0, atol=1e-8)
+            if res.spectral is not None:
+                assert res.spectral.residual <= 1e-10
+            # row sums of exact offsets are n (r - mean r)
+            per_item = H.n if algorithm is rowsum_rank else 1
+            assert np.allclose(res.score_estimate / (per_item * 10.0 ** k), r - r.mean(),
+                               rtol=0, atol=1e-8)
 
 
 class TestSvdNrs:

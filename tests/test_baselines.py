@@ -134,9 +134,31 @@ class TestCompletion:
         assert kendall_distance(truth, res.permutation) == 0
 
     def test_size_limit(self):
-        mset = SkewSparseMatrix(5, np.array([0]), np.array([1]), np.array([1.0]))
-        with pytest.raises(InvalidParam):
-            complete_matrix(mset, CompletionConfig(n_limit=4))
+        mset = SkewSparseMatrix(2001, np.array([0]), np.array([1]), np.array([1.0]))
+        with pytest.raises(InvalidParam, match="dense completion limited to n <= 2000"):
+            complete_matrix(mset)
+
+    def test_large_input_scale(self):
+        # Unscaled, numpy's SVD fails to converge on these values.
+        scores = generate_scores("linear", 60)
+        mset = generate_ero(scores, EROParams(n=60, p=0.3, eta=1.0, seed=3))
+        big = SkewSparseMatrix(60, mset.rows, mset.cols, mset.values * 1e193)
+        comp = complete_matrix(big)
+        assert comp.converged
+        C = complete_matrix(mset).matrix
+        assert np.linalg.norm(comp.matrix / 1e193 - C) <= 1e-10 * np.linalg.norm(C)
+        res = svd_rs(comp.to_sparse(), scale_from=big)
+        assert kendall_distance(ranking_from_scores(scores.values), res.permutation) == 0
+
+    def test_power_of_two_scale_is_exact(self):
+        mset = generate_ero(generate_scores("linear", 60), EROParams(n=60, p=0.3, eta=1.0, seed=3))
+        comp = complete_matrix(mset)
+        for k in (-1000, 900):
+            scaled = complete_matrix(SkewSparseMatrix(60, mset.rows, mset.cols,
+                                                      np.ldexp(mset.values, k)))
+            assert np.array_equal(scaled.matrix, np.ldexp(comp.matrix, k))
+            assert (scaled.iterations, scaled.converged, scaled.effective_rank) == (
+                comp.iterations, comp.converged, comp.effective_rank)
 
 
 def dense_complete(m, cfg=CompletionConfig()):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from svdrank import harness
+from svdrank.baselines import CompletionConfig
 from svdrank.cli import main
-from svdrank.errors import ConfigError, InvalidParam, ParseError, SelfLoop
+from svdrank.errors import ConfigError, InvalidParam, ParseError, SelfLoop, SvdRankError
 from svdrank.harness import (
+    ALGORITHMS,
+    complete_and_rank,
     ingest_edge_list,
     parse_config_text,
     prune_and_restrict,
@@ -156,6 +161,15 @@ completion_max_iter = 2
         assert len(raw) == 6
         assert all(r.error == "" and r.kendall is not None for r in raw)
         assert all(r.trials_ok == cfg.trials for r in rows if r.agg)
+
+    def test_completion_past_size_limit_ends_sweep(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(BASE_CONFIG.replace("n = 40", "n = 2001")
+                        .replace("p_grid = 1.0", "p_grid = 0.01") + "completion = on\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == ("configuration error: dense completion "
+                                           "limited to n <= 2000\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_theory_columns(self):
         cfg = parse_config_text("""
@@ -481,3 +495,40 @@ def test_write_csv_excludes_timing_by_default(tmp_path):
     assert "runtime_ms" not in header
     write_csv(rows, str(out), include_timing=True)
     assert "runtime_ms" in out.read_text().splitlines()[0]
+
+
+def _tiny_instance(rng: np.random.Generator) -> SkewSparseMatrix:
+    """A measurement set that validation accepts: 2 to 13 nodes, an empty, sparse
+    or complete graph, zero or tied values, all scaled by 10^k, |k| <= 300."""
+    n = int(rng.integers(2, 14))
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < rng.choice([0.0, rng.random(), 1.0])
+    values = rng.standard_normal(int(keep.sum()))
+    kind = rng.integers(4)
+    if kind == 1:
+        values[rng.random(values.size) < 0.5] = 0.0
+    elif kind == 2:
+        values = np.round(values)  # few distinct values, many ties
+    elif kind == 3:
+        values = np.abs(values[:1]).repeat(values.size)  # all tied
+    scale = 10.0 ** rng.choice([-300, -150, 0, 150, 300])
+    return SkewSparseMatrix(n, iu[keep], ju[keep], values * scale)
+
+
+def test_fuzz_tiny_inputs_never_break_complete_and_rank():
+    # Every validated input either raises an SvdRankError or yields, per
+    # algorithm, finite scores or an SvdRankError; no overflow or invalid
+    # value along the way.
+    rng = np.random.default_rng(19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(400):
+            m = _tiny_instance(rng)
+            completion = CompletionConfig() if rng.random() < 0.3 else None
+            try:
+                results = complete_and_rank(m, ALGORITHMS, completion, seed=0)
+            except SvdRankError:
+                continue
+            for name, result, _ in results:
+                if not isinstance(result, SvdRankError):
+                    assert np.isfinite(result.score_estimate).all(), (name, m.n, m.values)

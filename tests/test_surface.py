@@ -16,7 +16,7 @@ import pkgutil
 
 import svdrank
 
-MAX_SETTABLE = 73
+MAX_SETTABLE = 72
 
 
 def _optional_parameters(fn) -> list[str]:
