@@ -70,7 +70,6 @@ from .theory import (
     rank_displacement_bound,
     score_bounds_svdrs,
     score_l2_bound_svdnrs,
-    wedin_delta,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,10 +13,12 @@ by accelerated proximal gradient on a nuclear-norm penalty: a momentum
 extrapolation, a data-consistency step on the observed entries, then
 singular-value soft-thresholding, with the diagonal pinned to zero each
 iterate and the final iterate skew-symmetrized as (X - X^T) / 2. The
-threshold follows a geometric schedule from a spectral-scale start down to
-a small floor, which reproduces the equality-constrained behaviour on clean
-data; the constrained noisy formulation (with an explicit residual radius)
-is intentionally not exposed.
+threshold follows one fixed geometric schedule: it starts at ``SVT_START``
+sqrt(n p_hat) times the mean observed magnitude (p_hat the observed share
+of off-diagonal entries), shrinks by ``SVT_DECAY`` per iteration and stops
+at ``SVT_FLOOR`` times its start, which reproduces the equality-constrained
+behaviour on clean data; the constrained noisy formulation (with an
+explicit residual radius) is intentionally not exposed.
 
 The soft-thresholding forms only the singular triplets above the threshold
 (soft-impute, Mazumder, Hastie & Tibshirani 2010): a block Krylov range
@@ -40,6 +42,7 @@ from .errors import (
     DegenerateScores,
     GraphDisconnected,
     InvalidParam,
+    NonFiniteScores,
     NotConverged,
 )
 from .linalg import SkewSparseMatrix
@@ -48,14 +51,24 @@ from .model import ScoreVector
 SVT_TOL = 1e-12  # kept triplets need ||Y v - sigma u|| <= SVT_TOL * sigma_1
 SVT_EXTRA = 4    # Gaussian columns beside the warm start
 SVT_BLOCKS = 3   # Krylov blocks in the basis: Y S, (Y Y^T) Y S, (Y Y^T)^2 Y S
+SVT_START = 2.5   # first threshold, in units of sqrt(n p_hat) * mean |observed value|
+SVT_DECAY = 0.92  # threshold factor per iteration
+SVT_FLOOR = 1e-9  # last threshold, relative to the first
 COMPLETION_N_LIMIT = 2000  # the completion iterate is a dense n x n array
 
 
 def rowsum_rank(H: SkewSparseMatrix) -> RankingResult:
-    """Rank by centered row sums of the measurement matrix."""
+    """Rank by centered row sums of the measurement matrix.
+
+    Raises NonFiniteScores when a row sum or its centered value is past the
+    float range.
+    """
     if H.n < 2:
         raise InvalidParam("need n >= 2")
-    scores = center(H.node_sums(H.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = center(H.node_sums(H.values))
+    if not np.isfinite(scores).all():
+        raise NonFiniteScores("row sums overflow the float range")
     tau = _tau_or_nan(H, scores, H.offsets(scores))
     return RankingResult(score_estimate=scores, beta=1, tau=tau, method="rowsum")
 
@@ -114,32 +127,19 @@ def least_squares_rank(H: SkewSparseMatrix, tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class CompletionConfig:
-    """Knobs for the nuclear-norm completion solver.
+    """Stopping rule for the nuclear-norm completion solver.
 
-    ``threshold`` is the initial soft-threshold; when None it defaults to
-    2.5 * sqrt(n * p_hat) times the mean observed magnitude. It decays
-    geometrically by ``decay`` per iteration down to ``floor`` (default
-    1e-9 of the start), so late iterations approach exact data consistency;
-    keep a higher floor for heavily contaminated inputs, where exact
-    interpolation would chase outliers.
+    The solver stops after ``max_iter`` iterations, or earlier once the
+    threshold has reached its floor (see the module docstring) and the
+    relative change of the iterate is at most ``tol``.
     """
 
-    step: float = 1.0
-    threshold: float | None = None
-    decay: float = 0.92
-    floor: float | None = None
     max_iter: int = 500
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.step <= 0 or self.max_iter < 1 or self.tol <= 0:
-            raise InvalidParam("step, max_iter, tol must be positive")
-        if self.threshold is not None and self.threshold <= 0:
-            raise InvalidParam("threshold must be positive")
-        if not 0 < self.decay <= 1:
-            raise InvalidParam("decay must lie in (0, 1]")
-        if self.floor is not None and self.floor <= 0:
-            raise InvalidParam("floor must be positive")
+        if self.max_iter < 1 or self.tol <= 0:
+            raise InvalidParam("max_iter, tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,12 +212,9 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
     obs_j = np.concatenate([m.cols, m.rows])
     obs_v = np.ldexp(np.concatenate([m.values, -m.values]), -e)
     p_hat = obs_i.size / (n * (n - 1))
-    if cfg.threshold is None:
-        lam = 2.5 * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
-        lam = max(lam, np.finfo(float).tiny)
-    else:
-        lam = math.ldexp(cfg.threshold, -e)
-    floor = math.ldexp(cfg.floor, -e) if cfg.floor is not None else 1e-9 * lam
+    lam = SVT_START * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
+    lam = max(lam, np.finfo(float).tiny)
+    floor = SVT_FLOOR * lam
     unit = math.ldexp(1.0, min(-e, 1023))  # 1.0 in input units; 2^1024 would overflow
 
     X = np.zeros((n, n))
@@ -232,7 +229,7 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum ** 2))
         Y = X + ((t_momentum - 1.0) / t_next) * (X - X_prev)
         t_momentum = t_next
-        Y[obs_i, obs_j] -= cfg.step * (Y[obs_i, obs_j] - obs_v)
+        Y[obs_i, obs_j] -= Y[obs_i, obs_j] - obs_v
         np.fill_diagonal(Y, 0.0)
         US, V = _soft_threshold(Y, lam, V)
         rank = V.shape[1]
@@ -243,7 +240,7 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
         if rel <= cfg.tol and lam <= floor * (1 + 1e-12):
             converged = True
             break
-        lam = max(lam * cfg.decay, floor)
+        lam = max(lam * SVT_DECAY, floor)
     return CompletionResult(matrix=np.ldexp(0.5 * (X - X.T), e), converged=converged,
                             iterations=it, rel_change=float(rel), effective_rank=rank)
 

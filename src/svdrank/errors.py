@@ -62,8 +62,8 @@ class DegenerateVariance(SvdRankError):
     pass
 
 
-class PreconditionViolated(SvdRankError):
-    pass
+class NonFiniteScores(SvdRankError):
+    """Scores past the float range, which cannot be ranked."""
 
 
 class ZeroGap(SvdRankError):

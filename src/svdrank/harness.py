@@ -487,9 +487,6 @@ _CONFIG_SCHEMA = {
     "out": str,
     "workers": int,
     "include_timing": "flag",
-    "completion_step": float,
-    "completion_threshold": float,
-    "completion_decay": float,
     "completion_max_iter": int,
     "completion_tol": float,
 }

@@ -1,12 +1,11 @@
 """Closed-form error-bound evaluators for the spectral pipelines.
 
 These implement the finite-sample guarantees attached to the outliers
-measurement model: a spectral-norm level for the noise matrix, the Wedin
-subspace-perturbation ratio built on it, l2 / l-infinity bounds for the
-recovered in-span direction, the induced maximum-displacement rank bound,
-and score-recovery bounds for both the plain and the degree-normalized
-pipeline. They only evaluate formulas; nothing here is needed by the
-recovery algorithms themselves.
+measurement model: a spectral-norm level for the noise matrix, l2 /
+l-infinity bounds for the recovered in-span direction, the induced
+maximum-displacement rank bound, and score-recovery bounds for both the
+plain and the degree-normalized pipeline. They only evaluate formulas;
+nothing here is needed by the recovery algorithms themselves.
 
 Two universal constants in the l-infinity chain are never pinned by the
 analysis; they are set to ``PLACEHOLDER_CONSTANT`` = 1.0 here, so
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import center
-from .errors import DegenerateScores, InvalidParam, PreconditionViolated, ZeroGap
+from .errors import DegenerateScores, InvalidParam, ZeroGap
 from .model import ScoreVector
 
 PLACEHOLDER_CONSTANT = 1.0
@@ -128,14 +127,6 @@ def delta_spectral(stats: ModelStats, params: BoundParams) -> float:
     return 8.0 * stats.M * math.sqrt((5.0 / 3.0) * stats.p * stats.n) * (2.0 + params.epsilon)
 
 
-def wedin_delta(delta_cap: float, stats: ModelStats) -> float:
-    """Subspace-perturbation ratio Delta / (eta p ||r - alpha e|| sqrt(n) - Delta)."""
-    base = stats.eta * stats.p * stats.dev_norm * math.sqrt(stats.n)
-    if delta_cap >= base:
-        raise PreconditionViolated("noise level reaches the signal singular value")
-    return delta_cap / (base - delta_cap)
-
-
 def _require_signal(stats: ModelStats) -> None:
     if stats.eta <= 0 or stats.p <= 0:
         raise InvalidParam("need eta > 0 and p > 0")
@@ -210,7 +201,7 @@ def expected_abs_degrees(scores: ScoreVector, p: float, eta: float) -> np.ndarra
 
 
 def nrs_stats(scores: ScoreVector, p: float, eta: float,
-              params: BoundParams = BoundParams()) -> NRSStats:
+              params: BoundParams) -> NRSStats:
     """All model quantities for the degree-normalized bounds."""
     if eta <= 0 or p <= 0:
         raise InvalidParam("need eta > 0 and p > 0")
@@ -272,7 +263,7 @@ def score_l2_bound_svdnrs(stats: NRSStats) -> float:
 
 
 def evaluate_all_bounds(scores: ScoreVector, p: float, eta: float,
-                        params: BoundParams = BoundParams()) -> BoundReport:
+                        params: BoundParams) -> BoundReport:
     """Evaluate every closed-form bound at the given model parameters.
 
     Right-hand sides are always computed; each carries a flag saying whether

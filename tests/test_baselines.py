@@ -8,7 +8,10 @@ import pytest
 from svdrank.algorithms import ranking_from_scores, svd_rs
 from svdrank.baselines import (
     SVT_BLOCKS,
+    SVT_DECAY,
     SVT_EXTRA,
+    SVT_FLOOR,
+    SVT_START,
     CompletionConfig,
     _soft_threshold,
     coherence,
@@ -16,7 +19,13 @@ from svdrank.baselines import (
     least_squares_rank,
     rowsum_rank,
 )
-from svdrank.errors import DegenerateScores, GraphDisconnected, InvalidParam, NotConverged
+from svdrank.errors import (
+    DegenerateScores,
+    GraphDisconnected,
+    InvalidParam,
+    NonFiniteScores,
+    NotConverged,
+)
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
 from svdrank.model import EROParams, ScoreVector, generate_ero, generate_scores
@@ -52,6 +61,14 @@ class TestRowsum:
         res = rowsum_rank(H)
         sums = np.array([2.0, -5.0, 3.0])  # row sums of the dense completion
         assert np.allclose(res.score_estimate, sums - sums.mean())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_row_sums_raise(self):
+        # node 1's row sum is -3.4e308, past the float range
+        H = SkewSparseMatrix(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
+                             np.array([1.7e308, -1.7e308, 1e308]))
+        with pytest.raises(NonFiniteScores):
+            rowsum_rank(H)
 
 
 class TestLeastSquares:
@@ -168,11 +185,9 @@ def dense_complete(m, cfg=CompletionConfig()):
     obs_j = np.concatenate([m.cols, m.rows])
     obs_v = np.concatenate([m.values, -m.values])
     p_hat = obs_i.size / (n * (n - 1))
-    lam = cfg.threshold
-    if lam is None:
-        lam = 2.5 * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
-        lam = max(lam, np.finfo(float).tiny)
-    floor = cfg.floor if cfg.floor is not None else 1e-9 * lam
+    lam = SVT_START * np.sqrt(n * p_hat) * float(np.mean(np.abs(obs_v)))
+    lam = max(lam, np.finfo(float).tiny)
+    floor = SVT_FLOOR * lam
     X = np.zeros((n, n))
     X_prev = X
     t_momentum = 1.0
@@ -180,7 +195,7 @@ def dense_complete(m, cfg=CompletionConfig()):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum ** 2))
         Y = X + ((t_momentum - 1.0) / t_next) * (X - X_prev)
         t_momentum = t_next
-        Y[obs_i, obs_j] -= cfg.step * (Y[obs_i, obs_j] - obs_v)
+        Y[obs_i, obs_j] -= Y[obs_i, obs_j] - obs_v
         np.fill_diagonal(Y, 0.0)
         U, s, Vt = np.linalg.svd(Y, full_matrices=False)
         s = np.maximum(s - lam, 0.0)
@@ -191,7 +206,7 @@ def dense_complete(m, cfg=CompletionConfig()):
         X_prev, X = X, X_new
         if rel <= cfg.tol and lam <= floor * (1 + 1e-12):
             return 0.5 * (X - X.T), it, True, rank
-        lam = max(lam * cfg.decay, floor)
+        lam = max(lam * SVT_DECAY, floor)
     return 0.5 * (X - X.T), it, False, rank
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +42,17 @@ class TestConfigParsing:
         assert cfg.algorithms == ("svd_rs",)
 
     def test_unknown_keys_listed(self):
-        with pytest.raises(ConfigError, match="mystery_knob"):
-            parse_config_text(BASE_CONFIG + "\nmystery_knob = 3\n")
+        # the completion keys name schedule settings the solver fixes
+        for key, value in [("mystery_knob", "3"), ("completion_threshold", "2.0"),
+                           ("completion_step", "1.0"), ("completion_decay", "0.9")]:
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{BASE_CONFIG}\n{key} = {value}\n")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(example)
+        assert cfg.n == 1000
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="n, p_grid, gamma_grid"):

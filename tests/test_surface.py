@@ -16,7 +16,7 @@ import pkgutil
 
 import svdrank
 
-MAX_SETTABLE = 72
+MAX_SETTABLE = 66
 
 
 def _optional_parameters(fn) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 
 from svdrank import theory
 from svdrank.algorithms import svd_nrs, svd_rs
-from svdrank.errors import DegenerateScores, InvalidParam, PreconditionViolated, ZeroGap
+from svdrank.errors import DegenerateScores, InvalidParam, ZeroGap
 from svdrank.linalg import top2_svd
 from svdrank.model import ScoreVector, generate_scores
 from svdrank.theory import (
@@ -29,7 +29,6 @@ from svdrank.theory import (
     score_l2_bound_svdnrs,
     u2_true,
     u2_true_nrs,
-    wedin_delta,
 )
 
 from matrix_helpers import noiseless_matrix
@@ -51,27 +50,6 @@ class TestDeltaSpectral:
     def test_p_zero(self):
         stats = ModelStats(n=100, p=0.0, eta=1.0, M=1.0, alpha=0.5, dev_norm=1.0, rho=0.0)
         assert delta_spectral(stats, PARAMS) == 0.0
-
-
-class TestWedin:
-    def test_zero_noise(self):
-        assert wedin_delta(0.0, stats_for(50, 0.5, 0.9)) == 0.0
-
-    def test_one_third_boundary(self):
-        stats = stats_for(50, 0.5, 0.9)
-        base = stats.eta * stats.p * stats.dev_norm * math.sqrt(stats.n)
-        assert wedin_delta(base / 3.0, stats) == pytest.approx(0.5)
-
-    def test_generic_arithmetic(self):
-        stats = ModelStats(n=16, p=0.5, eta=0.8, M=4.0, alpha=2.0, dev_norm=10.0, rho=1.0)
-        base = 0.8 * 0.5 * 10.0 * 4.0
-        assert wedin_delta(4.0, stats) == pytest.approx(4.0 / (base - 4.0))
-
-    def test_precondition(self):
-        stats = stats_for(20, 0.5, 0.9)
-        base = stats.eta * stats.p * stats.dev_norm * math.sqrt(stats.n)
-        with pytest.raises(PreconditionViolated):
-            wedin_delta(base * 1.01, stats)
 
 
 class TestL2Bound:
