@@ -87,15 +87,18 @@ def _ratios(H: SkewSparseMatrix, s: np.ndarray, offsets: np.ndarray) -> np.ndarr
     Pairs whose estimated offset is below 1e-12 times the score range are
     excluded; raises EmptyRatios when nothing survives. When every pair
     survives, the ratios are written over ``offsets`` and returned in it.
+    A large value over a small kept offset may overflow to +-inf, which
+    still sorts on its side of every finite ratio, so the median holds.
     """
     if H.num_entries == 0:
         raise EmptyRatios("no observed pairs")
     keep = np.abs(offsets) > 1e-12 * (s.max() - s.min())
-    if keep.all():
-        return np.divide(H.values, offsets, out=offsets)
-    if not keep.any():
-        raise EmptyRatios("all estimated offsets are numerically zero")
-    return H.values[keep] / offsets[keep]
+    with np.errstate(over="ignore"):
+        if keep.all():
+            return np.divide(H.values, offsets, out=offsets)
+        if not keep.any():
+            raise EmptyRatios("all estimated offsets are numerically zero")
+        return H.values[keep] / offsets[keep]
 
 
 def _median(ratios: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .baselines import CompletionConfig, coherence, complete_matrix
-from .errors import ConfigError, InvalidParam, ParseError, SvdRankError
+from .errors import InvalidParam, ParseError, SvdRankError
 from .harness import (
     ALGORITHMS,
     complete_and_rank,
@@ -135,7 +135,7 @@ def _cmd_complete(args) -> int:
 def _cmd_bounds(args) -> int:
     eta = 1.0 - args.gamma
     if not 0.0 < args.p <= 1.0 or not 0.0 <= args.gamma < 1.0:
-        raise ConfigError("bounds need 0 < p <= 1 and 0 <= gamma < 1")
+        raise InvalidParam("bounds need 0 < p <= 1 and 0 <= gamma < 1")
     scores = generate_scores(args.scores, args.n, seed=args.seed)
     params = BoundParams(epsilon=args.epsilon)
     stats = ModelStats.from_scores(scores, args.p, eta)
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bounds(args)
         if args.verb == "selftest":
             return 0 if run_selftest() else 1
-    except (ConfigError, InvalidParam) as exc:
+    except InvalidParam as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ParseError) as exc:

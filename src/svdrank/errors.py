@@ -62,10 +62,6 @@ class DegenerateVariance(SvdRankError):
     pass
 
 
-class NonFiniteScores(SvdRankError):
-    """Scores past the float range, which cannot be ranked."""
-
-
 class ZeroGap(SvdRankError):
     pass
 
@@ -77,8 +73,4 @@ class ParseError(SvdRankError):
 
 
 class SelfLoop(ParseError):
-    pass
-
-
-class ConfigError(SvdRankError):
     pass

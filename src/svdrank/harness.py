@@ -41,7 +41,6 @@ from .baselines import (
     rowsum_rank,
 )
 from .errors import (
-    ConfigError,
     GraphDisconnectedWarning,
     InvalidParam,
     ParseError,
@@ -95,31 +94,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ConfigError("n must be >= 2")
+            raise InvalidParam("n must be >= 2")
         if not self.p_grid or not self.gamma_grid:
-            raise ConfigError("p_grid and gamma_grid must be nonempty")
+            raise InvalidParam("p_grid and gamma_grid must be nonempty")
         if any(not 0.0 <= p <= 1.0 for p in self.p_grid):
-            raise ConfigError("p values must lie in [0, 1]")
+            raise InvalidParam("p values must lie in [0, 1]")
         if any(not 0.0 <= g <= 1.0 for g in self.gamma_grid):
-            raise ConfigError("gamma values must lie in [0, 1]")
+            raise InvalidParam("gamma values must lie in [0, 1]")
         if any(len(set(grid)) < len(grid) for grid in (self.p_grid, self.gamma_grid)):
-            raise ConfigError("p_grid and gamma_grid values must not repeat")
+            raise InvalidParam("p_grid and gamma_grid values must not repeat")
         if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise InvalidParam("trials must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
-            raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+            raise InvalidParam(f"unknown algorithms: {sorted(unknown)}")
         unknown = set(self.metrics) - set(METRIC_NAMES)
         if unknown:
-            raise ConfigError(f"unknown metrics: {sorted(unknown)}")
+            raise InvalidParam(f"unknown metrics: {sorted(unknown)}")
         if self.scores not in ("uniform01", "gamma", "linear"):
-            raise ConfigError(f"unknown score kind {self.scores!r}")
+            raise InvalidParam(f"unknown score kind {self.scores!r}")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        try:
-            BoundParams(epsilon=self.epsilon)
-        except InvalidParam as exc:
-            raise ConfigError(str(exc)) from None
+            raise InvalidParam("workers must be >= 1")
+        BoundParams(epsilon=self.epsilon)
 
 
 @dataclass
@@ -176,7 +172,7 @@ def _run_algorithm(name: str, H: SkewSparseMatrix, seed: int,
         return rowsum_rank(H)
     if name == "least_squares":
         return least_squares_rank(H)
-    raise ConfigError(f"unknown algorithm {name!r}")
+    raise InvalidParam(f"unknown algorithm {name!r}")
 
 
 def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
@@ -187,8 +183,9 @@ def complete_and_rank(m: SkewSparseMatrix, algorithms: tuple[str, ...],
     Returns, per algorithm in the order asked for, its name, its ranking or
     the error it raised, and its run time in milliseconds; one algorithm's
     failure never hides the other results. A completion error (a matrix past
-    the dense size limit) raises before any algorithm runs. With a
-    completion config the algorithms rank the completed matrix. Only
+    the dense size limit, or a completed matrix past the value range)
+    raises before any algorithm runs. With a completion config the
+    algorithms rank the completed matrix. Only
     ``svd_rs`` and ``svd_nrs`` take sign and scale from the observed pairs;
     ``rowsum`` and ``least_squares`` report ``tau`` against the completed
     matrix they rank.
@@ -345,9 +342,9 @@ def ingest_edge_list(path: str, one_indexed: bool = False,
     max_idx = int(max(i.max(), j.max())) if i.size else -1
     size = n if n is not None else max_idx + 1
     if size < 2:
-        raise ConfigError("edge list defines fewer than 2 nodes")
+        raise InvalidParam("edge list defines fewer than 2 nodes")
     if max_idx >= size:
-        raise ConfigError(f"index {max_idx} out of range for n={size}")
+        raise InvalidParam(f"index {max_idx} out of range for n={size}")
     return SkewSparseMatrix.from_pairs(size, i, j, v)
 
 
@@ -450,7 +447,7 @@ def prune_and_restrict(m: SkewSparseMatrix,
     if survivors < n:
         log.warning("pruning %d nodes with degree < %d", n - survivors, min_degree)
     if not survivors:
-        raise ConfigError("no nodes survive pruning")
+        raise InvalidParam("no nodes survive pruning")
     kept = m if keep.all() else m.restrict(keep)
     main, largest = kept.largest_component()
     if main.n < survivors:
@@ -505,16 +502,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
+            raise InvalidParam(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_SCHEMA:
             unknown.append(key)
             continue
         if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise InvalidParam(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
+        raise InvalidParam(f"unknown configuration keys: {', '.join(sorted(unknown))}")
 
     def convert(key: str, kind):
         value = raw[key]
@@ -532,11 +529,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 return tuple(v.strip() for v in value.split(",") if v.strip())
             return kind(value)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
+            raise InvalidParam(f"key {key!r}: {exc}") from exc
 
     parsed = {k: convert(k, _CONFIG_SCHEMA[k]) for k in raw}
     if "n" not in parsed or "p_grid" not in parsed or "gamma_grid" not in parsed:
-        raise ConfigError("config requires at least: n, p_grid, gamma_grid")
+        raise InvalidParam("config requires at least: n, p_grid, gamma_grid")
     comp_kwargs = {key.removeprefix("completion_"): parsed.pop(key)
                    for key in list(parsed) if key.startswith("completion_")}
     if comp_kwargs:

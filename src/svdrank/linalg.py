@@ -4,7 +4,9 @@ The measurement matrix is skew-symmetric, so each unordered pair is stored
 exactly once (row < col) and the mirrored entry is implied by negation.
 Only :class:`SkewSparseMatrix` knows this layout; other modules use its
 ``from_pairs``, ``offsets``, ``node_sums``, ``restrict`` and
-``largest_component``.
+``largest_component``. It also owns the value range: the magnitudes of the
+values sum to at most ``VALUE_SUM_LIMIT`` (2^1021), checked once at
+construction, so no algorithm checks for overflow on its own.
 
 Products with H run over the edge list (two gathers and two bincounts over
 the m entries) unless the graph is dense: when the n x n float64 array is no
@@ -64,6 +66,11 @@ from .errors import (
 
 # Largest n with n * n - 1 <= int64 max, so a pair key lo * n + hi cannot overflow.
 _MAX_KEYED_N = 3037000499
+# Largest sum of entry magnitudes an edge list may hold. Every row sum and
+# every |(Hx)_i| with max |x_i| <= 1 is then at most 2^1021, and so is
+# sigma1 <= ||H||_inf; centred row sums stay below 2^1022 and their offsets
+# below 2^1023.
+VALUE_SUM_LIMIT = math.ldexp(1.0, 1021)
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,11 @@ class SkewSparseMatrix:
     This is also the package's edge list of pairwise measurements: entry k
     says item ``rows[k]`` exceeds item ``cols[k]`` by ``values[k]``.
     ``rows[k] < cols[k]`` holds for every stored entry, no pair is stored
-    twice and every value is finite; the value at (cols[k], rows[k]) is
-    ``-values[k]`` and the diagonal is zero. The arrays are validated once
-    here, made read-only and kept in the order given.
+    twice and the magnitudes of the values sum to at most
+    ``VALUE_SUM_LIMIT`` (2^1021), which NaN and infinity fail; the value at
+    (cols[k], rows[k]) is ``-values[k]`` and the diagonal is zero. The
+    arrays are validated once here, made read-only and kept in the order
+    given.
 
     ``matvec`` on a dense graph (3 m >= n^2, where the n x n array takes no
     more bytes than the three m-entry arrays) multiplies with a read-only
@@ -106,8 +115,9 @@ class SkewSparseMatrix:
                 keys = np.sort(keys)
             if np.any(keys[1:] == keys[:-1]):
                 raise InvalidParam("duplicate unordered pair")
-            if not np.all(np.isfinite(values)):
-                raise InvalidParam("entry values must be finite")
+            with np.errstate(over="ignore"):
+                if not np.abs(values).sum() <= VALUE_SUM_LIMIT:  # NaN fails too
+                    raise InvalidParam("entry magnitudes must sum to at most 2^1021")
         for name, arr in (("rows", rows), ("cols", cols), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

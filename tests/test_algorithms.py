@@ -306,6 +306,41 @@ class TestScaleOfInput:
                                rtol=0, atol=1e-8)
 
 
+def _noisy_complete_graph() -> SkewSparseMatrix:
+    """n=200 complete graph, 30% U[-1, 1] outliers; its magnitudes sum to about 7502 < 2^13."""
+    scores = generate_scores("uniform01", 200, seed=1)
+    return generate_ero(scores, EROParams(n=200, p=1.0, eta=0.7, seed=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestValueRangeLimit:
+    """Edge lists whose magnitudes sum to just under 2^1021 rank as they do at scale 1.
+
+    Each is scaled by a power of two, which is exact, so every algorithm
+    must give the permutation of the unscaled instance with finite scores,
+    tau and sigma1.
+    """
+
+    @pytest.mark.parametrize("base, k", [
+        # a path 0-1-2-3 whose magnitudes sum to exactly 2^1021 at k = 1021
+        (SkewSparseMatrix(4, np.array([0, 1, 2]), np.array([1, 2, 3]),
+                          np.array([0.5, -0.375, 0.125])), 1021),
+        # the smallest kept |offset| of svd_rs is 8.9e-7 here, so some
+        # ratios overflow to +-inf past the median
+        (_noisy_complete_graph(), 1021 - 13),
+    ], ids=["path", "noisy_complete"])
+    def test_ranks_like_scale_one(self, base, k):
+        H = SkewSparseMatrix(base.n, base.rows, base.cols, np.ldexp(base.values, k))
+        assert np.abs(H.values).sum() > 2.0 ** 1020
+        for name in ALGORITHMS:
+            want = _run_algorithm(name, base, 0, None)
+            got = _run_algorithm(name, H, 0, None)
+            assert np.array_equal(got.permutation, want.permutation), name
+            assert np.isfinite(got.score_estimate).all() and math.isfinite(got.tau), name
+            if got.spectral is not None:
+                assert math.isfinite(got.spectral.sigma1), name
+
+
 class TestSvdNrs:
     def test_degree_diagonal(self):
         r = np.array([1.0, 2.0, 3.0])

@@ -118,6 +118,21 @@ def test_huge_index_exits_with_a_message(capsys, tmp_path):
     assert code == 2 and out == "" and "too large" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, options", [
+    ("0,1,1.7e308\n1,2,-1.7e308\n2,3,1e308\n", ()),
+    ("0,1,1e308\n0,1,1e308\n", ()),  # finite rows, summed past the float range
+    # the path's magnitudes sum to 2.16e307, its completed matrix's do not
+    ("".join(f"{i},{i + 1},2.4e306\n" for i in range(9)), ("--completion",)),
+], ids=["path", "summed_pair", "completed_path"])
+def test_values_past_the_value_range_exit_2(capsys, tmp_path, text, options):
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    code, out, err = rank(capsys, "--input", str(path), *options)
+    assert code == 2 and out == ""
+    assert err == "configuration error: entry magnitudes must sum to at most 2^1021\n"
+
+
 def test_large_index_far_above_row_count_ranks_in_small_memory(capsys, tmp_path):
     # n = 3037000499 fits the pair keys, but any array of length n takes 24 GB.
     path = tmp_path / "far.csv"

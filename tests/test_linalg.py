@@ -88,6 +88,26 @@ class TestSkewSparseMatrix:
             with pytest.raises(InvalidParam):
                 SkewSparseMatrix(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_value_range_is_a_sum_of_magnitudes(self):
+        rows, cols = np.array([0, 1, 2]), np.array([1, 2, 3])
+        at_limit = np.ldexp([0.5, -0.375, 0.125], 1021)
+        assert np.abs(SkewSparseMatrix(4, rows, cols, at_limit).values).sum() == 2.0 ** 1021
+        past = at_limit.copy()
+        past[0] += 2.0 ** 970  # two units in the last place of the sum
+        for values in (past,
+                       np.array([1.7e308, -1.7e308, 1e308]),  # the sum overflows
+                       np.ldexp([1.0, -1.0, 1.0], 1022)):  # row sums +-2^1023, offsets 2^1024
+            with pytest.raises(InvalidParam, match=r"2\^1021"):
+                SkewSparseMatrix(4, rows, cols, values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_pairs_checks_the_summed_values(self):
+        # each value is in range, their sum for the repeated pair is not
+        with pytest.raises(InvalidParam, match=r"2\^1021"):
+            SkewSparseMatrix.from_pairs(2, np.array([0, 0]), np.array([1, 1]),
+                                        np.array([1e308, 1e308]))
+
     def test_accepts_unsorted_entries_in_given_order(self):
         rows, cols, values = np.array([1, 0, 0]), np.array([2, 2, 1]), np.array([1.0, 2.0, 3.0])
         H = SkewSparseMatrix(3, rows, cols, values)
