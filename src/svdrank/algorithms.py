@@ -175,7 +175,10 @@ def _scale_and_package(H: SkewSparseMatrix, s: np.ndarray, u_tilde: np.ndarray,
     offsets = source.offsets(s)
     beta = _upset_sign(source, offsets)
     tau = _tau_or_nan(source, s, offsets)
-    scores = center((tau if math.isfinite(tau) else 1.0) * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = center(tau * s)
+    if not np.isfinite(scores).all():  # past the float range, keep the orientation tau gives
+        scores = center((1.0 if math.isnan(tau) else math.copysign(1.0, tau)) * s)
     return RankingResult(score_estimate=scores, beta=beta, tau=tau, method=method,
                          spectral=pair, direction=u_tilde)
 

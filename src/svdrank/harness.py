@@ -9,6 +9,10 @@ example a disconnected draw at tiny p) are recorded in their rows and never
 abort the sweep. Completion's size limit is a configuration error, not a
 per-cell failure: it ends the sweep at its first cell.
 
+``ResultRow``'s fields are the CSV columns in order, ``_METRICS`` maps each
+simple metric to its function, and the configuration keys are the fields of
+``ExperimentConfig`` and ``CompletionConfig``, read by their annotations.
+
 Timing columns are kept out of the CSV unless explicitly requested, since
 wall-clock values would break byte-level reproducibility.
 
@@ -29,7 +33,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,14 +67,22 @@ from .theory import BoundParams, ModelStats, l2_bound_svdrs, l2_precondition_hol
 log = logging.getLogger(__name__)
 
 ALGORITHMS = ("svd_rs", "svd_nrs", "rowsum", "least_squares")
-METRIC_NAMES = ("kendall", "kendall_norm", "correlation", "rmse", "upsets",
-                "weighted_upsets", "max_displacement", "theory")
-DEFAULT_METRICS = ("kendall", "correlation", "rmse", "upsets", "weighted_upsets")
 
-CSV_COLUMNS = ("agg", "stat", "algorithm", "n", "p", "gamma", "trial", "trials_ok",
-               "kendall", "kendall_norm", "correlation", "rmse", "upsets",
-               "weighted_upsets", "max_displacement", "u2_sq_err", "u2_sq_bound",
-               "bound_precond_ok", "bound_contained", "runtime_ms", "error")
+# Each simple metric, in CSV column order, with the function computing it
+# from (true permutation, true scores, measurement set, result).
+_METRICS = {
+    "kendall": lambda perm, truth, mset, res: float(kendall_distance(perm, res.permutation)),
+    "kendall_norm": lambda perm, truth, mset, res: float(
+        kendall_distance(perm, res.permutation, normalized=True)),
+    "correlation": lambda perm, truth, mset, res: pearson_correlation(truth, res.score_estimate),
+    "rmse": lambda perm, truth, mset, res: rmse(truth, res.score_estimate),
+    "upsets": lambda perm, truth, mset, res: float(count_upsets(mset, res.score_estimate)),
+    "weighted_upsets": lambda perm, truth, mset, res: weighted_upsets(mset, res.score_estimate),
+    "max_displacement": lambda perm, truth, mset, res: float(
+        max_displacement(perm, res.permutation)),
+}
+METRIC_NAMES = (*_METRICS, "theory")  # theory fills the four bound columns
+DEFAULT_METRICS = ("kendall", "correlation", "rmse", "upsets", "weighted_upsets")
 
 
 @dataclass(frozen=True)
@@ -118,15 +130,15 @@ class ExperimentConfig:
         BoundParams(epsilon=self.epsilon)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ResultRow:
+    agg: int = 0
+    stat: str = ""
     algorithm: str
     n: int
     p: float | None = None
     gamma: float | None = None
     trial: int | None = None
-    agg: int = 0
-    stat: str = ""
     trials_ok: int | None = None
     kendall: float | None = None
     kendall_norm: float | None = None
@@ -141,6 +153,9 @@ class ResultRow:
     bound_contained: int | None = None
     runtime_ms: float | None = None
     error: str = ""
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(value) -> str:
@@ -255,23 +270,10 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
             _set_error(row, result)
             continue
         row.runtime_ms = runtime_ms
-        est = result.score_estimate
         try:
-            if "kendall" in cfg.metrics:
-                row.kendall = float(kendall_distance(true_perm, result.permutation))
-            if "kendall_norm" in cfg.metrics:
-                row.kendall_norm = float(kendall_distance(true_perm, result.permutation,
-                                                          normalized=True))
-            if "correlation" in cfg.metrics:
-                row.correlation = pearson_correlation(scores.values, est)
-            if "rmse" in cfg.metrics:
-                row.rmse = rmse(scores.values, est)
-            if "upsets" in cfg.metrics:
-                row.upsets = float(count_upsets(mset, est))
-            if "weighted_upsets" in cfg.metrics:
-                row.weighted_upsets = weighted_upsets(mset, est)
-            if "max_displacement" in cfg.metrics:
-                row.max_displacement = float(max_displacement(true_perm, result.permutation))
+            for metric, compute in _METRICS.items():
+                if metric in cfg.metrics:
+                    setattr(row, metric, compute(true_perm, scores.values, mset, result))
             if "theory" in cfg.metrics and eta > 0 and p > 0:
                 _theory_columns(row, result, scores, p, eta, cfg.epsilon)
         except SvdRankError as exc:
@@ -280,20 +282,20 @@ def _run_cell(cfg: ExperimentConfig, p_idx: int, g_idx: int, trial: int) -> list
 
 
 def _aggregate(rows: list[ResultRow], cfg: ExperimentConfig) -> list[ResultRow]:
-    metric_fields = ("kendall", "kendall_norm", "correlation", "rmse", "upsets",
-                     "weighted_upsets", "max_displacement", "u2_sq_err", "u2_sq_bound")
+    ok: dict[tuple, list[ResultRow]] = {}
+    for r in rows:
+        if not r.error:
+            ok.setdefault((r.p, r.gamma, r.algorithm), []).append(r)
     out = []
     for p in cfg.p_grid:
         for gamma in cfg.gamma_grid:
             for name in cfg.algorithms:
-                ok = [r for r in rows
-                      if r.algorithm == name and r.p == p and r.gamma == gamma
-                      and not r.error]
+                group = ok.get((p, gamma, name), [])
                 for stat, fn in (("mean", np.mean), ("std", np.std)):
                     agg = ResultRow(algorithm=name, n=cfg.n, p=p, gamma=gamma,
-                                    agg=1, stat=stat, trials_ok=len(ok))
-                    for metric in metric_fields:
-                        vals = [getattr(r, metric) for r in ok
+                                    agg=1, stat=stat, trials_ok=len(group))
+                    for metric in (*_METRICS, "u2_sq_err", "u2_sq_bound"):
+                        vals = [getattr(r, metric) for r in group
                                 if getattr(r, metric) is not None]
                         if vals:
                             setattr(agg, metric, float(fn(vals)))
@@ -312,8 +314,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
              for pi in range(len(cfg.p_grid))
              for gi in range(len(cfg.gamma_grid))
              for t in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # A fork pool starts all its workers at the first submit: start no more than there are cells.
+    workers = min(cfg.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell, [cfg] * len(cells), *zip(*cells)))
     else:
         chunks = [_run_cell(cfg, *c) for c in cells]
@@ -468,24 +472,28 @@ def _touched_and_first_untouched(m: SkewSparseMatrix) -> np.ndarray:
     return np.insert(touched, first, first)
 
 
-_CONFIG_SCHEMA = {
-    "n": int,
-    "scores": str,
-    "gamma_shape": float,
-    "gamma_scale": float,
-    "p_grid": "float_list",
-    "gamma_grid": "float_list",
-    "trials": int,
-    "seed": int,
-    "algorithms": "str_list",
-    "completion": "flag",
-    "metrics": "str_list",
-    "epsilon": float,
-    "out": str,
-    "workers": int,
-    "include_timing": "flag",
-    "completion_max_iter": int,
-    "completion_tol": float,
+def _flag(value: str) -> bool:
+    if value.lower() in ("on", "true", "1", "yes"):
+        return True
+    if value.lower() in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"bad flag {value!r}")
+
+
+# One reader per field annotation; annotations are strings (postponed evaluation).
+_READERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _flag,
+    "tuple[float, ...]": lambda value: tuple(float(v) for v in value.split(",")),
+    "tuple[str, ...]": lambda value: tuple(v.strip() for v in value.split(",") if v.strip()),
+}
+# Every ExperimentConfig field but completion_cfg is a key, and so is each
+# CompletionConfig field, prefixed with ``completion_``.
+_CONFIG_KEYS = {
+    **{f.name: _READERS[f.type] for f in fields(ExperimentConfig) if f.name != "completion_cfg"},
+    **{f"completion_{f.name}": _READERS[f.type] for f in fields(CompletionConfig)},
 }
 
 
@@ -504,7 +512,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise InvalidParam(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_KEYS:
             unknown.append(key)
             continue
         if key in raw:
@@ -513,25 +521,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise InvalidParam(f"unknown configuration keys: {', '.join(sorted(unknown))}")
 
-    def convert(key: str, kind):
-        value = raw[key]
+    parsed = {}
+    for key, value in raw.items():
         try:
-            if kind == "flag":
-                low = value.lower()
-                if low in ("on", "true", "1", "yes"):
-                    return True
-                if low in ("off", "false", "0", "no"):
-                    return False
-                raise ValueError(f"bad flag {value!r}")
-            if kind == "float_list":
-                return tuple(float(v) for v in value.split(","))
-            if kind == "str_list":
-                return tuple(v.strip() for v in value.split(",") if v.strip())
-            return kind(value)
+            parsed[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise InvalidParam(f"key {key!r}: {exc}") from exc
-
-    parsed = {k: convert(k, _CONFIG_SCHEMA[k]) for k in raw}
     if "n" not in parsed or "p_grid" not in parsed or "gamma_grid" not in parsed:
         raise InvalidParam("config requires at least: n, p_grid, gamma_grid")
     comp_kwargs = {key.removeprefix("completion_"): parsed.pop(key)

@@ -233,7 +233,7 @@ class SkewSparseMatrix:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionMismatch("expected a square matrix")
-        if not np.allclose(dense, -dense.T, atol=1e-10 * max(1.0, np.abs(dense).max())):
+        if not np.allclose(dense, -dense.T, atol=1e-10 * np.abs(dense).max()):
             raise InvalidParam("matrix is not skew-symmetric")
         i, j = np.triu_indices(dense.shape[0], 1)
         v = dense[i, j]

@@ -340,6 +340,18 @@ class TestValueRangeLimit:
             if got.spectral is not None:
                 assert math.isfinite(got.spectral.sigma1), name
 
+    @pytest.mark.parametrize("k", [0, -900])
+    def test_scores_keep_the_sign_of_tau_past_the_float_range(self, k):
+        # At k = 0, svd_rs's tau is -inf and svd_nrs's tau is finite but
+        # tau * s overflows; both must still rank as at k = -900.
+        values = np.array([-1.367e301, 2.244e307, 1.263e304, -1.218e304, -6.153e303, 5.421e301])
+        H = SkewSparseMatrix(5, np.array([0, 0, 1, 1, 2, 3]), np.array([1, 4, 2, 3, 3, 4]),
+                             np.ldexp(values, k))
+        for algorithm in (svd_rs, svd_nrs):
+            res = algorithm(H)
+            assert res.permutation.tolist() == [0, 3, 1, 2, 4], algorithm.__name__
+            assert np.isfinite(res.score_estimate).all(), algorithm.__name__
+
 
 class TestSvdNrs:
     def test_degree_diagonal(self):

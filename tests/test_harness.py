@@ -33,6 +33,19 @@ algorithms = svd_rs
 out = results.csv
 """
 
+# The sweep whose CSV tests/data/sweep_golden.csv holds: every metric, and at
+# p = 0.04 disconnected draws, so the file has error rows too. A change that
+# moves floats on purpose regenerates the file with write_csv(run_sweep(...)).
+GOLDEN_CONFIG = """
+n = 40
+p_grid = 0.04, 0.3, 1.0
+gamma_grid = 0.0, 0.4
+trials = 2
+seed = 3
+algorithms = svd_rs, svd_nrs, rowsum, least_squares
+metrics = kendall, kendall_norm, correlation, rmse, upsets, weighted_upsets, max_displacement, theory
+"""
+
 
 class TestConfigParsing:
     def test_minimal(self):
@@ -47,6 +60,12 @@ class TestConfigParsing:
                            ("completion_step", "1.0"), ("completion_decay", "0.9")]:
             with pytest.raises(InvalidParam, match=key):
                 parse_config_text(f"{BASE_CONFIG}\n{key} = {value}\n")
+
+    def test_keys_are_the_config_fields(self):
+        assert set(harness._CONFIG_KEYS) == {
+            "n", "scores", "gamma_shape", "gamma_scale", "p_grid", "gamma_grid", "trials",
+            "seed", "algorithms", "completion", "metrics", "epsilon", "out", "workers",
+            "include_timing", "completion_max_iter", "completion_tol"}
 
     def test_readme_example_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -117,6 +136,34 @@ class TestRunSweep:
         write_csv(run_sweep(parse_config_text(text)), str(out_a))
         write_csv(run_sweep(parse_config_text(text + "\nworkers = 2\n")), str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_csv_matches_golden_file(self, tmp_path):
+        out = tmp_path / "r.csv"
+        write_csv(run_sweep(parse_config_text(GOLDEN_CONFIG)), str(out))
+        golden = Path(__file__).parent / "data" / "sweep_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_no_more_workers_than_cells(self, monkeypatch):
+        started = []
+
+        class RecordingPool:  # records the pool size and runs the cells in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        one_cell = BASE_CONFIG + "workers = 64\n"
+        run_sweep(parse_config_text(one_cell))
+        assert started == []
+        run_sweep(parse_config_text(one_cell.replace("trials = 1", "trials = 3")))
+        assert started == [3]
 
     def test_failing_cell_is_marked_not_fatal(self):
         # p tiny: disconnected draws make spectral methods fail, sweep survives

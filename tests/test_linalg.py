@@ -125,6 +125,13 @@ class TestSkewSparseMatrix:
         with pytest.raises(InvalidParam):
             SkewSparseMatrix.from_dense(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0])
+    def test_from_dense_skew_check_is_scale_free(self, scale):
+        with pytest.raises(InvalidParam):
+            SkewSparseMatrix.from_dense(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        back = SkewSparseMatrix.from_dense(scale * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert back.values.tolist() == [scale]
+
 
 class TestMatvec:
     def test_empty_matrix_gives_zero(self):
