@@ -22,7 +22,6 @@ from .algorithms import (
 from .baselines import (
     CompletionConfig,
     CompletionResult,
-    coherence,
     complete_matrix,
     least_squares_rank,
     rowsum_rank,
@@ -61,6 +60,7 @@ from .theory import (
     BoundReport,
     ModelStats,
     NRSStats,
+    coherence,
     delta_spectral,
     ideal_scale_scores,
     l2_bound_svdnrs,

@@ -28,6 +28,7 @@ result is kept only when it shows a singular value at or below the
 threshold and every kept triplet has a residual of at most ``SVT_TOL``
 times the largest; otherwise, or when the basis would span R^n, the full
 dense SVD is taken instead. The iterate itself stays a dense n x n array.
+The coherence of the true scores is a model statistic, in ``theory``.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import RankingResult, _tau_or_nan, center
-from .errors import (
-    DegenerateScores,
-    GraphDisconnected,
-    InvalidParam,
-    NotConverged,
-)
+from .errors import GraphDisconnected, InvalidParam, NotConverged
 from .linalg import SkewSparseMatrix
-from .model import ScoreVector
 
 SVT_TOL = 1e-12  # kept triplets need ||Y v - sigma u|| <= SVT_TOL * sigma_1
 SVT_EXTRA = 4    # Gaussian columns beside the warm start
@@ -235,17 +230,3 @@ def complete_matrix(m: SkewSparseMatrix, cfg: CompletionConfig = CompletionConfi
         lam = max(lam * SVT_DECAY, floor)
     return CompletionResult(matrix=np.ldexp(0.5 * (X - X.T), e), converged=converged,
                             iterations=it, rel_change=float(rel), effective_rank=rank)
-
-
-def coherence(r: ScoreVector) -> float:
-    """Spread measure max{(M - mean) sqrt(n) / ||r - mean||_2, 1} of the scores.
-
-    Small values mean the score deviations are delocalized, the favourable
-    regime for completion from few samples.
-    """
-    values = r.values
-    alpha = values.mean()
-    dev = np.linalg.norm(values - alpha)
-    if dev <= 1e-12 * (abs(values).max() + 1.0) * np.sqrt(r.n):
-        raise DegenerateScores("coherence undefined for constant scores")
-    return max(float((r.M - alpha) * np.sqrt(r.n) / dev), 1.0)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .baselines import CompletionConfig, coherence, complete_matrix
+from .baselines import CompletionConfig, complete_matrix
 from .errors import InvalidParam, ParseError, SvdRankError
 from .harness import (
     ALGORITHMS,
@@ -34,7 +34,7 @@ from .harness import (
 from .metrics import count_upsets, weighted_upsets
 from .model import generate_scores
 from .selftest import run_selftest
-from .theory import BoundParams, ModelStats, evaluate_all_bounds
+from .theory import BoundParams, ModelStats, coherence, evaluate_all_bounds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InvalidParam("seed must be >= 0")
         if args.verb == "sweep":
             return _cmd_sweep(args)
         if args.verb == "rank":

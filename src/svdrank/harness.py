@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise InvalidParam("p_grid and gamma_grid values must not repeat")
         if self.trials < 1:
             raise InvalidParam("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidParam("seed must be >= 0")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown or not self.algorithms:
             raise InvalidParam(f"unknown algorithms: {sorted(unknown)}")

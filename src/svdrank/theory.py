@@ -1,11 +1,15 @@
-"""Closed-form error-bound evaluators for the spectral pipelines.
+"""Closed-form error-bound evaluators and model statistics for the spectral pipelines.
 
 These implement the finite-sample guarantees attached to the outliers
 measurement model: a spectral-norm level for the noise matrix, l2 /
 l-infinity bounds for the recovered in-span direction, the induced
 maximum-displacement rank bound, and score-recovery bounds for both the
-plain and the degree-normalized pipeline. They only evaluate formulas;
-nothing here is needed by the recovery algorithms themselves.
+plain and the degree-normalized pipeline. Beside them sit the statistics
+of the true scores that the bounds and the sweep's ``theory`` columns
+read: the target directions ``u2_true`` and ``u2_true_nrs``, the expected
+absolute degrees, and the ``coherence`` that ``svdrank bounds`` prints.
+They only evaluate formulas; nothing here is needed by the recovery
+algorithms themselves.
 
 Two universal constants in the l-infinity chain are never pinned by the
 analysis; they are set to ``PLACEHOLDER_CONSTANT`` = 1.0 here, so
@@ -36,9 +40,17 @@ XI = 2.0
 KAPPA = 0.5
 
 
-def _degenerate_level(values: np.ndarray) -> float:
-    """Deviation level below which scores count as all-equal (roundoff)."""
-    return 1e-12 * (float(np.abs(values).max()) + 1.0) * np.sqrt(values.size)
+def _deviation(values: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The deviation ``values - alpha`` and its l2 norm.
+
+    Raises DegenerateScores when the norm is at roundoff level, at most
+    1e-12 (max |r| + 1) sqrt(n), for then the scores are equal.
+    """
+    dev = values - alpha
+    norm = float(np.linalg.norm(dev))
+    if norm <= 1e-12 * (float(np.abs(values).max()) + 1.0) * np.sqrt(values.size):
+        raise DegenerateScores("all scores are equal")
+    return dev, norm
 
 
 @dataclass(frozen=True)
@@ -72,9 +84,7 @@ class ModelStats:
     def from_scores(cls, scores: ScoreVector, p: float, eta: float) -> "ModelStats":
         values = scores.values
         alpha = float(values.mean())
-        dev = float(np.linalg.norm(values - alpha))
-        if dev <= _degenerate_level(values):
-            raise DegenerateScores("all scores are equal")
+        _, dev = _deviation(values, alpha)
         gaps = np.diff(np.sort(values))
         return cls(n=scores.n, p=p, eta=eta, M=scores.M, alpha=alpha,
                    dev_norm=dev, rho=float(gaps.min()))
@@ -127,23 +137,20 @@ def delta_spectral(stats: ModelStats, params: BoundParams) -> float:
     return 8.0 * stats.M * math.sqrt((5.0 / 3.0) * stats.p * stats.n) * (2.0 + params.epsilon)
 
 
-def _require_signal(stats: ModelStats) -> None:
-    if stats.eta <= 0 or stats.p <= 0:
+def _require_signal(p: float, eta: float) -> None:
+    if eta <= 0 or p <= 0:
         raise InvalidParam("need eta > 0 and p > 0")
 
 
-def _l2_threshold(stats: ModelStats, params: BoundParams) -> float:
-    _require_signal(stats)
-    return (24.0 * stats.M / stats.eta) * math.sqrt(5.0 / (3.0 * stats.p)) * (2.0 + params.epsilon)
-
-
 def l2_precondition_holds(stats: ModelStats, params: BoundParams) -> bool:
-    return stats.dev_norm >= _l2_threshold(stats, params)
+    _require_signal(stats.p, stats.eta)
+    return stats.dev_norm >= ((24.0 * stats.M / stats.eta) * math.sqrt(5.0 / (3.0 * stats.p))
+                              * (2.0 + params.epsilon))
 
 
 def l2_bound_svdrs(stats: ModelStats, params: BoundParams) -> float:
     """Bound on the squared l2 error of the recovered in-span direction."""
-    _require_signal(stats)
+    _require_signal(stats.p, stats.eta)
     return ((120.0 * stats.M / stats.eta) * math.sqrt(5.0 / (3.0 * stats.p))
             * (2.0 + params.epsilon) / stats.dev_norm)
 
@@ -163,7 +170,7 @@ def linf_C_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, float]:
     Returns (C, bound) with bound = 4 (2 + sqrt(2)) C + 4 sqrt(n) C^2. Uses
     the placeholder universal constant, so treat values qualitatively.
     """
-    _require_signal(stats)
+    _require_signal(stats.p, stats.eta)
     n, M, eta, p, dev = stats.n, stats.M, stats.eta, stats.p, stats.dev_norm
     logn = math.log(n)
     spread = 1.0 / math.sqrt(n) + (M - stats.alpha) / dev
@@ -194,30 +201,34 @@ def score_bounds_svdrs(stats: ModelStats, params: BoundParams) -> tuple[float, f
     return l2, linf
 
 
+def _degree_rates(scores: ScoreVector, eta: float) -> np.ndarray:
+    """Expected absolute degrees over p: eta S_i + (1 - eta) M / 2."""
+    return eta * pair_abs_sums(scores.values) + (1.0 - eta) * scores.M / 2.0
+
+
 def expected_abs_degrees(scores: ScoreVector, p: float, eta: float) -> np.ndarray:
     """Expected absolute-degree diagonal p (eta S_i + (1 - eta) M / 2)."""
-    S = pair_abs_sums(scores.values)
-    return p * (eta * S + (1.0 - eta) * scores.M / 2.0)
+    return p * _degree_rates(scores, eta)
+
+
+def _weighted_centre(values: np.ndarray, degrees: np.ndarray) -> float:
+    """The 1/d-weighted mean of the scores; DegenerateScores unless every degree d is positive."""
+    if degrees.min() <= 0.0:
+        raise DegenerateScores("expected degrees vanish")
+    weights = 1.0 / degrees
+    return float((values * weights).sum() / weights.sum())
 
 
 def nrs_stats(scores: ScoreVector, p: float, eta: float,
               params: BoundParams) -> NRSStats:
     """All model quantities for the degree-normalized bounds."""
-    if eta <= 0 or p <= 0:
-        raise InvalidParam("need eta > 0 and p > 0")
+    _require_signal(p, eta)
     values = scores.values
     n, M = scores.n, scores.M
-    S = pair_abs_sums(values)
-    lam_max = eta * float(S.max()) + (1.0 - eta) * M / 2.0
-    lam_min = eta * float(S.min()) + (1.0 - eta) * M / 2.0
-    if lam_min <= 0.0:
-        raise DegenerateScores("expected degrees vanish")
-    d_exp = p * (eta * S + (1.0 - eta) * M / 2.0)
-    weights = 1.0 / d_exp
-    alpha = float((values * weights).sum() / weights.sum())
-    dev = float(np.linalg.norm(values - alpha))
-    if dev <= _degenerate_level(values):
-        raise DegenerateScores("all scores are equal")
+    rates = _degree_rates(scores, eta)
+    lam_max, lam_min = float(rates.max()), float(rates.min())
+    alpha = _weighted_centre(values, p * rates)
+    _, dev = _deviation(values, alpha)
     A = eta * M ** 2 + (1.0 - eta) * M / 2.0
     sigma_min = eta * dev * math.sqrt(n) / lam_max
     sigma_max = eta * dev * math.sqrt(n) / lam_min
@@ -294,23 +305,27 @@ def evaluate_all_bounds(scores: ScoreVector, p: float, eta: float,
 
 def u2_true(scores: ScoreVector) -> np.ndarray:
     """Unit deviation direction (r - mean) / ||r - mean||."""
-    dev = scores.values - scores.values.mean()
-    norm = np.linalg.norm(dev)
-    if norm <= _degenerate_level(scores.values):
-        raise DegenerateScores("all scores are equal")
+    dev, norm = _deviation(scores.values, scores.values.mean())
     return dev / norm
 
 
 def u2_true_nrs(scores: ScoreVector, p: float, eta: float) -> np.ndarray:
     """Unit direction targeted by the normalized pipeline (expected degrees)."""
     d_exp = expected_abs_degrees(scores, p, eta)
-    weights = 1.0 / d_exp
-    alpha = float((scores.values * weights).sum() / weights.sum())
-    v = (scores.values - alpha) / np.sqrt(d_exp)
-    norm = np.linalg.norm(v)
-    if norm <= 1e-12:
-        raise DegenerateScores("all scores are equal")
-    return v / norm
+    dev, _ = _deviation(scores.values, _weighted_centre(scores.values, d_exp))
+    v = dev / np.sqrt(d_exp)
+    return v / np.linalg.norm(v)
+
+
+def coherence(r: ScoreVector) -> float:
+    """Spread measure max{(M - mean) sqrt(n) / ||r - mean||_2, 1} of the scores.
+
+    Small values mean the score deviations are delocalized, the favourable
+    regime for completion from few samples.
+    """
+    alpha = float(r.values.mean())
+    _, dev = _deviation(r.values, alpha)
+    return max(float((r.M - alpha) * np.sqrt(r.n) / dev), 1.0)
 
 
 def ideal_scale_scores(u_tilde: np.ndarray, sigma1: float, eta: float, p: float,
@@ -324,8 +339,7 @@ def ideal_scale_scores(u_tilde: np.ndarray, sigma1: float, eta: float, p: float,
     algorithms never see.
     """
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
-    if eta <= 0 or p <= 0:
-        raise InvalidParam("need eta > 0 and p > 0")
+    _require_signal(p, eta)
     n = u_tilde.size
     if dbar is None:
         w = (sigma1 / (eta * p * math.sqrt(n))) * u_tilde

@@ -14,7 +14,6 @@ from svdrank.baselines import (
     SVT_START,
     CompletionConfig,
     _soft_threshold,
-    coherence,
     complete_matrix,
     least_squares_rank,
     rowsum_rank,
@@ -28,6 +27,7 @@ from svdrank.errors import (
 from svdrank.linalg import SkewSparseMatrix
 from svdrank.metrics import kendall_distance
 from svdrank.model import EROParams, ScoreVector, generate_ero, generate_scores
+from svdrank.theory import coherence
 
 from matrix_helpers import noiseless_matrix
 

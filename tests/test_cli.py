@@ -1,9 +1,11 @@
-"""``svdrank rank`` and ``svdrank complete`` end to end: output format, options and exit codes."""
+"""The ``svdrank`` verbs end to end: output format, options and exit codes."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,13 @@ import pytest
 from svdrank import harness, linalg
 from svdrank.baselines import complete_matrix
 from svdrank.cli import main
-from svdrank.harness import ingest_edge_list, prune_and_restrict
+from svdrank.harness import (
+    ingest_edge_list,
+    parse_config_text,
+    prune_and_restrict,
+    run_sweep,
+    write_csv,
+)
 from svdrank.metrics import count_upsets
 
 SCORES = np.array([3.1, 0.4, 2.2, 5.0, 1.7, 4.3, 0.9, 2.8])
@@ -201,3 +209,71 @@ def test_complete_max_iter_reports_not_converged(capsys, edges):
     header = capsys.readouterr().out.splitlines()[0]
     assert code == 0
     assert header.startswith("# converged=False iterations=1 ")
+
+
+# tests/data/bounds_golden.txt holds the stdout of these three runs, concatenated.
+BOUNDS_RUNS = [
+    ["--n", "200", "--p", "0.3", "--gamma", "0.2"],
+    ["--n", "1000", "--p", "0.05", "--gamma", "0.4", "--scores", "gamma", "--seed", "3"],
+    ["--n", "50", "--p", "1", "--gamma", "0", "--scores", "uniform01"],
+]
+
+
+def test_bounds_matches_golden_file(capsys):
+    out = ""
+    for argv in BOUNDS_RUNS:
+        assert main(["bounds", *argv]) == 0
+        out += capsys.readouterr().out
+    golden = Path(__file__).parent / "data" / "bounds_golden.txt"
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("options", [["--p", "0.5", "--gamma", "1"], ["--p", "0", "--gamma", "0.2"]],
+                         ids=["gamma_1", "p_0"])
+def test_bounds_without_signal_exit_2(capsys, options):
+    code = main(["bounds", "--n", "50", *options])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "configuration error: bounds need 0 < p <= 1 and 0 <= gamma < 1\n"
+
+
+SWEEP_CONFIG = """
+n = 12
+p_grid = 1.0
+gamma_grid = 0.0, 0.3
+trials = 2
+algorithms = svd_rs, rowsum
+out = unused.csv
+"""
+
+
+def test_sweep_writes_the_rows_of_its_overridden_config(capsys, tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG)
+    out = tmp_path / "rows.csv"
+    code = main(["sweep", "--config", str(config), "--out", str(out),
+                 "--seed", "9", "--workers", "1"])
+    assert code == 0
+    rows = run_sweep(dataclasses.replace(parse_config_text(SWEEP_CONFIG), seed=9))
+    expected = tmp_path / "expected.csv"
+    write_csv(rows, str(expected))
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == f"wrote {len(rows)} rows to {out}\n"
+
+
+@pytest.mark.parametrize("entry", ["sweep_config", "sweep_override", "rank", "bounds"])
+def test_negative_seed_exits_2(capsys, tmp_path, edges, entry):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SWEEP_CONFIG + ("seed = -1\n" if entry == "sweep_config" else ""))
+    sweep = ["sweep", "--config", str(config), "--out", str(tmp_path / "rows.csv")]
+    argv = {
+        "sweep_config": sweep,
+        "sweep_override": [*sweep, "--seed", "-5"],
+        "rank": ["rank", "--input", str(edges), "--seed", "-1"],
+        "bounds": ["bounds", "--n", "20", "--p", "0.5", "--gamma", "0.1", "--seed", "-1"],
+    }[entry]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "configuration error: seed must be >= 0\n"
+    assert not (tmp_path / "rows.csv").exists()

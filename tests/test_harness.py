@@ -9,9 +9,10 @@ import pytest
 from svdrank import harness
 from svdrank.baselines import CompletionConfig
 from svdrank.cli import main
-from svdrank.errors import InvalidParam, ParseError, SelfLoop, SvdRankError
+from svdrank.errors import DegenerateVariance, InvalidParam, ParseError, SelfLoop, SvdRankError
 from svdrank.harness import (
     ALGORITHMS,
+    ExperimentConfig,
     complete_and_rank,
     ingest_edge_list,
     parse_config_text,
@@ -99,6 +100,26 @@ class TestConfigParsing:
         with pytest.raises(InvalidParam, match="must not repeat"):
             parse_config_text(f"n = 20\n{grid}\ntrials = 2\n")
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n": 1}, "n must be >= 2"),
+        ({"p_grid": ()}, "must be nonempty"),
+        ({"gamma_grid": (1.5,)}, "gamma values must lie in"),
+        ({"algorithms": ("svd_xyz",)}, "unknown algorithms"),
+        ({"metrics": ("speed",)}, "unknown metrics"),
+        ({"scores": "normal"}, "unknown score kind"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ("n = 10\np_grid 1.0\n", "line 2: expected 'key = value'"),
+        ("n = 10\nn = 12\n", "line 2: duplicate key 'n'"),
+    ], ids=["n", "empty_grid", "gamma", "algorithm", "metric", "score_kind", "workers", "seed",
+            "no_equals", "duplicate_key"])
+    def test_invalid_config_rejected(self, config, message):
+        with pytest.raises(InvalidParam, match=message):
+            if isinstance(config, str):
+                parse_config_text(config)
+            else:
+                ExperimentConfig(**{"n": 10, "p_grid": (1.0,), "gamma_grid": (0.0,), **config})
+
     def test_epsilon_out_of_range_rejected(self, tmp_path, capsys):
         text = BASE_CONFIG + "\nmetrics = kendall, theory\nepsilon = 0.9\n"
         with pytest.raises(InvalidParam, match="epsilon"):
@@ -164,6 +185,17 @@ class TestRunSweep:
         assert started == []
         run_sweep(parse_config_text(one_cell.replace("trials = 1", "trials = 3")))
         assert started == [3]
+
+    def test_metric_error_is_recorded_and_earlier_columns_kept(self, monkeypatch):
+        def fail(perm, truth, mset, res):
+            raise DegenerateVariance("estimate has zero variance")
+
+        monkeypatch.setitem(harness._METRICS, "correlation", fail)
+        cfg = parse_config_text(BASE_CONFIG + "metrics = kendall, correlation, rmse\n")
+        [row] = harness._run_cell(cfg, 0, 0, 0)
+        assert row.error == "DegenerateVariance: estimate has zero variance"
+        assert row.kendall == 0.0  # noiseless at p = 1, and computed before correlation
+        assert row.correlation is None and row.rmse is None
 
     def test_failing_cell_is_marked_not_fatal(self):
         # p tiny: disconnected draws make spectral methods fail, sweep survives

@@ -13,6 +13,7 @@ from svdrank.model import ScoreVector, generate_scores
 from svdrank.theory import (
     BoundParams,
     ModelStats,
+    coherence,
     delta_spectral,
     evaluate_all_bounds,
     expected_abs_degrees,
@@ -256,6 +257,29 @@ class TestGroundTruthDirections:
         scores = generate_scores("linear", 30)
         H = noiseless_matrix(scores.values)
         assert np.allclose(expected_abs_degrees(scores, 1.0, 1.0), H.abs_row_sums())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, p, eta", [
+        (np.full(5, 2.0), 0.5, 1.0),
+        (np.zeros(5), 0.5, 1.0),
+        (np.zeros(5), 0.5, 0.4),
+        (np.arange(5.0), 0.0, 1.0),
+    ], ids=["constant", "zeros", "zeros_noisy", "p_zero"])
+    def test_nrs_direction_raises_when_expected_degrees_vanish(self, values, p, eta):
+        # every expected degree is zero: no 1/d weights, and no warning first
+        with pytest.raises(DegenerateScores, match="expected degrees vanish"):
+            u2_true_nrs(ScoreVector(values), p, eta)
+
+    def test_every_statistic_shares_the_all_equal_test(self):
+        # deviation 1.2e-15 <= 1e-12 (max + 1) sqrt(3): equal up to roundoff
+        scores = ScoreVector(np.array([1.0, 1.0 + 2e-15, 1.0]))
+        for statistic in (lambda: ModelStats.from_scores(scores, 0.5, 1.0),
+                          lambda: nrs_stats(scores, 0.5, 1.0, PARAMS),
+                          lambda: u2_true(scores),
+                          lambda: u2_true_nrs(scores, 0.5, 1.0),
+                          lambda: coherence(scores)):
+            with pytest.raises(DegenerateScores, match="all scores are equal"):
+                statistic()
 
 
 class TestBoundReport:
